@@ -1,19 +1,20 @@
-// Streaming-detection soak bench (DESIGN.md §14–15): drives the streaming
-// runtimes over 8 zones and >=10k samples of diurnal traffic with injected
-// attack bursts and churn gaps, and measures the properties the streaming
-// layer promises:
+// Streaming-detection soak bench (DESIGN.md §14): drives the stream
+// pipeline (stream::ShardedPipeline) over 8 zones and >=10k samples of
+// diurnal traffic with injected attack bursts and churn gaps, and measures
+// the properties the streaming layer promises:
 //
-//   1. frozen-threshold equivalence — a stream replay with frozen
-//      thresholds and repair off flags the bit-identical anomaly set the
-//      batch detector (stream::batch_scores + compute_threshold) flags,
-//      on BOTH runtimes (StreamPipeline and a 4-shard ShardedPipeline);
-//   2. detection parity — the adaptive soak (seeded thresholds, online
-//      repair, churn, back-pressure) keeps recall on the labelled attack
-//      samples within 0.02 of the batch detector, and every point of the
-//      shard sweep (drift probe armed) holds the same bound;
+//   1. frozen-threshold equivalence — a 4-shard replay with frozen
+//      thresholds, repair off and an off-cadence flush flags the
+//      bit-identical anomaly set the batch detector (stream::batch_scores
+//      + compute_threshold) flags;
+//   2. detection parity — the adaptive soak (1 shard, seeded thresholds,
+//      online repair, churn, back-pressure, a flush every 256 samples)
+//      keeps recall on the labelled attack samples within 0.02 of the
+//      batch detector, and every point of the shard sweep (drift probe
+//      armed) holds the same bound;
 //   3. zero steady-state allocations — after warmup, a clean ingest batch
-//      (ingest + flush, nothing flagged) never touches the heap, on both
-//      runtimes (the sharded gate covers rings, staging and fan-in);
+//      (ring pushes, drains, fan-in staging, one merged score call,
+//      scatter; nothing flagged) never touches the heap;
 //   4. shard scaling — a 1/2/4/8-shard sweep under multi-producer load
 //      records samples/s into BENCH_stream.json; the >=3x-at-8-shards
 //      gate is enforced only on hosts with >= 8 hardware threads
@@ -29,13 +30,13 @@
 //                                # throughput/recall + shard sweep, writes
 //                                # JSON, exit 1 on any gate failure
 //   bench_stream --check-allocs  # short run; exit 1 if a steady-state
-//                                # ingest batch allocates (either runtime)
-//                                # or a frozen replay diverges from batch
+//                                # ingest batch allocates or the frozen
+//                                # replay diverges from batch
 //
-// Honors --stream-queue-max / --stream-flush / --stream-shards /
-// --stream-drift-z / --seed / --threads (the alloc gates always measure
-// the serial path; --stream-shards only overrides the sharded alloc gate's
-// shard count, the sweep always covers 1/2/4/8).
+// Honors --stream-queue-max / --stream-shards / --stream-drift-z / --seed /
+// --threads (the alloc gate always measures the serial path;
+// --stream-shards only overrides its shard count, the sweep always covers
+// 1/2/4/8).
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -111,6 +112,8 @@ using namespace evfl;
 using tensor::Rng;
 
 constexpr std::size_t kZones = 8;
+/// Samples the soak and the alloc gate ingest between two flushes.
+constexpr std::size_t kFlushEvery = 256;
 constexpr float kPi = 3.14159265f;
 
 /// Deterministic per-(zone, t) ripple in [-1, 1] (splitmix64 hash), so
@@ -271,52 +274,15 @@ int main(int argc, char** argv) {
   }
 
   // --- 1. frozen-threshold equivalence -------------------------------------
-  // Repair off, thresholds frozen at the batch values, queue sized to hold
-  // everything: the replay must flag exactly the batch anomaly set with
+  // Repair off, thresholds frozen at the batch values, queue and rings
+  // sized to hold everything, 4 shards and an off-cadence flush: the
+  // fan-in batches vary in width (one merged engine call per round, single
+  // pad-to-2 at the merged batch), yet the determinism contract (DESIGN.md
+  // §14) says the replay must flag exactly the batch anomaly set with
   // bit-identical scores.
   std::size_t equiv_events = 0;
   std::size_t equiv_mismatches = 0;
   std::size_t batch_flagged = 0;
-  {
-    stream::StreamConfig sc = core::make_stream_config(cfg, kZones);
-    sc.repair_inputs = false;
-    sc.adapt_thresholds = false;
-    sc.queue_max = hours * kZones;
-    sc.queue_shrink = 1024;
-    stream::StreamPipeline pipe(engine, sc);
-    for (std::size_t z = 0; z < kZones; ++z) {
-      pipe.add_zone(zones[z].scaler);
-      pipe.freeze_threshold(static_cast<std::uint32_t>(z),
-                            zones[z].threshold);
-    }
-    for (std::size_t t = 0; t < hours; ++t) {
-      for (std::size_t z = 0; z < kZones; ++z) {
-        pipe.ingest(static_cast<std::uint32_t>(z), t, zones[z].series[t]);
-      }
-    }
-    pipe.flush();
-    std::vector<stream::AnomalyEvent> events;
-    pipe.drain(events);
-    equiv_events = events.size();
-    equiv_mismatches =
-        equivalence_mismatches(zones, lookback, events, batch_flagged);
-  }
-  const bool equivalent = equiv_mismatches == 0 &&
-                          equiv_events == batch_flagged;
-  std::printf("frozen equivalence: %s (%zu events, %zu batch-flagged, "
-              "%zu mismatches)\n",
-              equivalent ? "bit-identical" : "DIVERGED", equiv_events,
-              batch_flagged, equiv_mismatches);
-
-  // --- 1b. sharded frozen equivalence --------------------------------------
-  // The same frozen replay through a multi-shard ShardedPipeline with an
-  // off-cadence flush: the fan-in batches differently (one merged engine
-  // call per round, single pad-to-2 at the merged batch), yet the
-  // determinism contract (DESIGN.md §15) says the anomaly set must still
-  // be bit-identical to the batch detector.
-  std::size_t sharded_mismatches = 0;
-  std::size_t sharded_events = 0;
-  std::size_t sharded_batch_flagged = 0;
   {
     stream::ShardedConfig scfg = core::make_sharded_config(cfg, kZones);
     scfg.shards = 4;
@@ -341,73 +307,26 @@ int main(int argc, char** argv) {
     pipe.flush();
     std::vector<stream::AnomalyEvent> events;
     pipe.drain(events);
-    sharded_events = events.size();
-    sharded_mismatches = equivalence_mismatches(zones, lookback, events,
-                                                sharded_batch_flagged);
+    equiv_events = events.size();
+    equiv_mismatches =
+        equivalence_mismatches(zones, lookback, events, batch_flagged);
   }
-  const bool sharded_equivalent = sharded_mismatches == 0 &&
-                                  sharded_events == sharded_batch_flagged;
-  std::printf("sharded frozen equivalence (4 shards): %s (%zu events, "
-              "%zu mismatches)\n",
-              sharded_equivalent ? "bit-identical" : "DIVERGED",
-              sharded_events, sharded_mismatches);
+  const bool equivalent = equiv_mismatches == 0 &&
+                          equiv_events == batch_flagged;
+  std::printf("frozen equivalence (4 shards): %s (%zu events, %zu "
+              "batch-flagged, %zu mismatches)\n",
+              equivalent ? "bit-identical" : "DIVERGED", equiv_events,
+              batch_flagged, equiv_mismatches);
 
   // --- 3. steady-state allocations -----------------------------------------
   // Clean continuation traffic, thresholds pinned far above any clean
   // score so nothing flags (a repair is allowed to allocate; the clean
-  // path is not).  Warmup fills every window, exercises several flushes
-  // and one drain; the measured region is whole ingest batches.
+  // path is not).  Warmup fills every window and grows the per-zone
+  // queues and rings to their steady footprint; the measured region is
+  // whole ingest batches through the serial path — ring pushes, drains,
+  // fan-in staging, one merged score call per round, scatter.
   double allocs_per_batch = 0.0;
   double bytes_per_batch = 0.0;
-  {
-    stream::StreamConfig sc = core::make_stream_config(cfg, kZones);
-    stream::StreamPipeline pipe(engine, sc);
-    for (std::size_t z = 0; z < kZones; ++z) {
-      pipe.add_zone(zones[z].scaler);
-      pipe.freeze_threshold(static_cast<std::uint32_t>(z), 1e30f);
-    }
-    const std::size_t warm_ticks =
-        lookback + 8 + (4 * sc.flush_batch + kZones - 1) / kZones;
-    const std::size_t meas_ticks = (12 * sc.flush_batch + kZones - 1) / kZones;
-    std::vector<stream::AnomalyEvent> sink;
-    for (std::size_t t = 0; t < warm_ticks; ++t) {
-      for (std::size_t z = 0; z < kZones; ++z) {
-        pipe.ingest(static_cast<std::uint32_t>(z), t,
-                    clean_value(z, t, lookback));
-      }
-    }
-    pipe.flush();
-    pipe.drain(sink);
-
-    const std::uint64_t f0 = pipe.stats().flushes_total;
-    const std::uint64_t a0 = g_alloc_count.load();
-    const std::uint64_t b0 = g_alloc_bytes.load();
-    for (std::size_t t = warm_ticks; t < warm_ticks + meas_ticks; ++t) {
-      for (std::size_t z = 0; z < kZones; ++z) {
-        pipe.ingest(static_cast<std::uint32_t>(z), t,
-                    clean_value(z, t, lookback));
-      }
-    }
-    const std::uint64_t a1 = g_alloc_count.load();
-    const std::uint64_t b1 = g_alloc_bytes.load();
-    const std::uint64_t flushes = pipe.stats().flushes_total - f0;
-    allocs_per_batch =
-        flushes > 0 ? static_cast<double>(a1 - a0) / flushes : 0.0;
-    bytes_per_batch =
-        flushes > 0 ? static_cast<double>(b1 - b0) / flushes : 0.0;
-    std::printf("steady state: %.1f allocs / %.0f bytes per ingest batch "
-                "(%llu batches measured)\n",
-                allocs_per_batch, bytes_per_batch,
-                static_cast<unsigned long long>(flushes));
-  }
-
-  // --- 3b. sharded steady-state allocations --------------------------------
-  // Same clean-traffic contract for the sharded runtime on its serial
-  // path: after warmup (windows full, rings/queues at their steady
-  // footprint), one ingest batch — ring pushes, drains, fan-in staging,
-  // one merged score call, scatter — must not touch the heap.
-  double sharded_allocs_per_batch = 0.0;
-  double sharded_bytes_per_batch = 0.0;
   {
     stream::ShardedConfig scfg = core::make_sharded_config(cfg, kZones);
     if (scfg.shards == 1) scfg.shards = 4;  // exercise real fan-in
@@ -416,8 +335,7 @@ int main(int argc, char** argv) {
       pipe.add_zone(zones[z].scaler);
       pipe.freeze_threshold(static_cast<std::uint32_t>(z), 1e30f);
     }
-    const std::size_t batch_ticks =
-        (scfg.stream.flush_batch + kZones - 1) / kZones;
+    const std::size_t batch_ticks = (kFlushEvery + kZones - 1) / kZones;
     std::size_t tick = 0;
     const auto run_batches = [&](std::size_t n) {
       for (std::size_t b = 0; b < n; ++b) {
@@ -440,13 +358,12 @@ int main(int argc, char** argv) {
     run_batches(meas_batches);
     const std::uint64_t a1 = g_alloc_count.load();
     const std::uint64_t b1 = g_alloc_bytes.load();
-    sharded_allocs_per_batch =
-        static_cast<double>(a1 - a0) / meas_batches;
-    sharded_bytes_per_batch = static_cast<double>(b1 - b0) / meas_batches;
-    std::printf("sharded steady state (%zu shards): %.1f allocs / %.0f "
-                "bytes per ingest batch (%zu batches measured)\n",
-                scfg.shards, sharded_allocs_per_batch,
-                sharded_bytes_per_batch, meas_batches);
+    allocs_per_batch = static_cast<double>(a1 - a0) / meas_batches;
+    bytes_per_batch = static_cast<double>(b1 - b0) / meas_batches;
+    std::printf("steady state (%zu shards): %.1f allocs / %.0f bytes per "
+                "ingest batch (%zu batches measured)\n",
+                scfg.shards, allocs_per_batch, bytes_per_batch,
+                meas_batches);
   }
 
   if (check_allocs) {
@@ -456,37 +373,27 @@ int main(int argc, char** argv) {
                   allocs_per_batch);
       fail = true;
     }
-    if (sharded_allocs_per_batch > 0.0) {
-      std::printf("FAIL: sharded steady-state ingest allocates "
-                  "(%.1f/batch)\n",
-                  sharded_allocs_per_batch);
-      fail = true;
-    }
     if (!equivalent) {
-      std::printf("FAIL: frozen-threshold stream diverged from the batch "
+      std::printf("FAIL: frozen-threshold replay diverged from the batch "
                   "detector (%zu mismatches)\n",
                   equiv_mismatches);
       fail = true;
     }
-    if (!sharded_equivalent) {
-      std::printf("FAIL: sharded frozen-threshold replay diverged from the "
-                  "batch detector (%zu mismatches)\n",
-                  sharded_mismatches);
-      fail = true;
-    }
     if (!fail) {
-      std::printf("OK: both runtimes are allocation-free at steady state "
-                  "and frozen replays match batch\n");
+      std::printf("OK: allocation-free at steady state and the frozen "
+                  "replay matches batch\n");
     }
     return fail ? 1 : 0;
   }
 
   // --- 2. adaptive soak: throughput, churn, back-pressure, recall ----------
-  // Seeded (adapting) thresholds, online repair, three churn outages per
-  // zone, a concurrent-shaped drain cadence.  Recall is compared on the
-  // labelled samples both detectors could score (churn refills excluded).
-  stream::StreamConfig soak_cfg = core::make_stream_config(cfg, kZones);
-  stream::StreamPipeline pipe(engine, soak_cfg, &registry);
+  // One shard, no pool: seeded (adapting) thresholds, online repair, three
+  // churn outages per zone, a flush every kFlushEvery samples and a
+  // concurrent-shaped drain cadence.  Recall is compared on the labelled
+  // samples both detectors could score (churn refills excluded).
+  stream::ShardedConfig soak_cfg = core::make_sharded_config(cfg, kZones);
+  soak_cfg.shards = 1;
+  stream::ShardedPipeline pipe(engine, soak_cfg, &registry);
   for (std::size_t z = 0; z < kZones; ++z) {
     pipe.add_zone(zones[z].scaler);
     pipe.seed_threshold(static_cast<std::uint32_t>(z),
@@ -509,7 +416,7 @@ int main(int argc, char** argv) {
     for (std::size_t z = 0; z < kZones; ++z) {
       if (in_outage(z, t)) continue;  // churn: the zone misses these hours
       pipe.ingest(static_cast<std::uint32_t>(z), t, zones[z].series[t]);
-      ++ingested;
+      if (++ingested % kFlushEvery == 0) pipe.flush();
     }
     if (t % 400 == 399) pipe.drain(events);
   }
@@ -567,9 +474,9 @@ int main(int argc, char** argv) {
   const double flush_p99_ms = flush_hist.quantile(0.99) * 1e3;
 
   std::printf("=== stream soak (%zu zones x %zu hours, seq %zu, hidden %zu, "
-              "flush %zu, queue %zu) ===\n",
-              kZones, hours, lookback, model_cfg.lstm_units,
-              soak_cfg.flush_batch, soak_cfg.queue_max);
+              "flush every %zu, queue %zu) ===\n",
+              kZones, hours, lookback, model_cfg.lstm_units, kFlushEvery,
+              soak_cfg.stream.queue_max);
   std::printf("throughput: %.0f samples/s sustained (%.3f s soak), flush "
               "p50 %.3f ms p99 %.3f ms\n",
               samples_per_sec, soak_secs, flush_p50_ms, flush_p99_ms);
@@ -713,8 +620,8 @@ int main(int argc, char** argv) {
     json << "{\n  \"config\": {\"zones\": " << kZones
          << ", \"hours_per_zone\": " << hours << ", \"seq\": " << lookback
          << ", \"hidden\": " << model_cfg.lstm_units
-         << ", \"flush_batch\": " << soak_cfg.flush_batch
-         << ", \"queue_max\": " << soak_cfg.queue_max
+         << ", \"flush_every\": " << kFlushEvery
+         << ", \"queue_max\": " << soak_cfg.stream.queue_max
          << ", \"seed\": " << cfg.seed << "},\n"
          << "  \"samples_per_sec\": " << samples_per_sec << ",\n"
          << "  \"soak_seconds\": " << soak_secs << ",\n"
@@ -722,17 +629,9 @@ int main(int argc, char** argv) {
          << "  \"flush_p99_ms\": " << flush_p99_ms << ",\n"
          << "  \"allocs_per_ingest_batch\": " << allocs_per_batch << ",\n"
          << "  \"bytes_per_ingest_batch\": " << bytes_per_batch << ",\n"
-         << "  \"sharded_allocs_per_ingest_batch\": "
-         << sharded_allocs_per_batch << ",\n"
-         << "  \"sharded_bytes_per_ingest_batch\": "
-         << sharded_bytes_per_batch << ",\n"
          << "  \"frozen_equivalent\": " << (equivalent ? "true" : "false")
          << ",\n"
          << "  \"equivalence_mismatches\": " << equiv_mismatches << ",\n"
-         << "  \"sharded_frozen_equivalent\": "
-         << (sharded_equivalent ? "true" : "false") << ",\n"
-         << "  \"sharded_equivalence_mismatches\": " << sharded_mismatches
-         << ",\n"
          << "  \"stats\": {\"samples_total\": " << st.samples_total
          << ", \"scored_total\": " << st.scored_total
          << ", \"not_ready_total\": " << st.not_ready_total
@@ -771,13 +670,8 @@ int main(int argc, char** argv) {
 
   bool fail = false;
   if (!equivalent) {
-    std::printf("FAIL: frozen-threshold stream diverged from the batch "
+    std::printf("FAIL: frozen-threshold replay diverged from the batch "
                 "detector\n");
-    fail = true;
-  }
-  if (!sharded_equivalent) {
-    std::printf("FAIL: sharded frozen-threshold replay diverged from the "
-                "batch detector\n");
     fail = true;
   }
   if (recall_delta > 0.02) {
@@ -786,9 +680,9 @@ int main(int argc, char** argv) {
                 recall_stream, recall_batch);
     fail = true;
   }
-  if (sharded_allocs_per_batch > 0.0) {
-    std::printf("FAIL: sharded steady-state ingest allocates (%.1f/batch)\n",
-                sharded_allocs_per_batch);
+  if (allocs_per_batch > 0.0) {
+    std::printf("FAIL: steady-state ingest allocates (%.1f/batch)\n",
+                allocs_per_batch);
     fail = true;
   }
   for (const SweepPoint& pt : sweep) {

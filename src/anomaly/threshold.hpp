@@ -129,7 +129,7 @@ class IncrementalThreshold {
   mutable bool mad_dirty_ = true;
 };
 
-/// Drift probe for streaming thresholds (DESIGN.md §15): detects a
+/// Drift probe for streaming thresholds (DESIGN.md §14): detects a
 /// sustained shift of the score distribution that winsorized adaptation
 /// would take thousands of samples to track, and hands the caller the
 /// evidence to re-seed its IncrementalThreshold from.

@@ -136,22 +136,13 @@ void apply_cli_overrides(ExperimentConfig& cfg, int argc, char** argv) {
                     "' (expected 0 for fp32 or 8 for int8)");
       }
       cfg.serve_quant_bits = static_cast<int>(bits);
-    } else if (key == "--stream") {
-      cfg.stream = parse_unsigned(key, value) != 0;
     } else if (key == "--stream-queue-max") {
       const std::uint64_t n = parse_unsigned(key, value);
-      if (n < 1 || n > 1'048'576) {
+      if (n < 8 || n > 1'048'576) {
         throw Error("bad value for --stream-queue-max: '" + value +
-                    "' (expected 1..1048576)");
+                    "' (expected 8..1048576)");
       }
       cfg.stream_queue_max = n;
-    } else if (key == "--stream-flush") {
-      const std::uint64_t n = parse_unsigned(key, value);
-      if (n < 1) {
-        throw Error("bad value for --stream-flush: '" + value +
-                    "' (expected >= 1)");
-      }
-      cfg.stream_flush = n;
     } else if (key == "--stream-shards") {
       const std::uint64_t n = parse_unsigned(key, value);
       if (n < 1 || n > 256) {
@@ -215,9 +206,11 @@ std::string describe(const ExperimentConfig& cfg) {
     os << " clients=" << cfg.fleet_clients << " edges=" << cfg.fleet_edges
        << " sample-frac=" << cfg.sample_frac;
   }
-  if (cfg.stream) {
-    os << " stream=1 stream-queue-max=" << cfg.stream_queue_max
-       << " stream-flush=" << cfg.stream_flush
+  const ExperimentConfig defaults;
+  if (cfg.stream_queue_max != defaults.stream_queue_max ||
+      cfg.stream_shards != defaults.stream_shards ||
+      cfg.stream_drift_z != defaults.stream_drift_z) {
+    os << " stream-queue-max=" << cfg.stream_queue_max
        << " stream-shards=" << cfg.stream_shards
        << " stream-drift-z=" << cfg.stream_drift_z;
   }

@@ -51,17 +51,14 @@ struct ExperimentConfig {
   std::size_t serve_batch = 32;
   int serve_quant_bits = 0;
 
-  /// Streaming online detection (stream::StreamPipeline /
-  /// stream::ShardedPipeline, bench_stream): `stream` turns the mode on for
-  /// drivers that support it; queue-max/flush bound the event queue
-  /// (drop-oldest past the max) and the pending-sample count that triggers
-  /// an automatic flush.  `stream_shards` > 1 selects the sharded runtime
-  /// (zones hash-partitioned across that many worker partitions);
-  /// `stream_drift_z` > 0 arms per-zone drift-triggered threshold
-  /// re-seeding at that z-bound (0 = probe off).
-  bool stream = false;
+  /// Streaming online detection (stream::ShardedPipeline, bench_stream):
+  /// `stream_queue_max` bounds the event queue and each shard's ingest
+  /// ring (drop-oldest past the max; at least 8, the MpscRing floor);
+  /// `stream_shards` hash-partitions zones across that many worker
+  /// partitions (1 = the plain single-core pipeline); `stream_drift_z` > 0
+  /// arms per-zone drift-triggered threshold re-seeding at that z-bound
+  /// (0 = probe off).
   std::size_t stream_queue_max = 4096;
-  std::size_t stream_flush = 256;
   std::size_t stream_shards = 1;
   double stream_drift_z = 0.0;
 
@@ -101,7 +98,7 @@ struct ExperimentConfig {
 ///   --codec dense|delta|topk|topk_q  --topk-frac X  --quant-bits 4|8
 ///   --clients N  --edges N  --sample-frac X
 ///   --serve-batch N (1..4096)  --serve-quant-bits 0|8 (0 = fp32 snapshots)
-///   --stream 0|1  --stream-queue-max N (1..1048576)  --stream-flush N (>=1)
+///   --stream-queue-max N (8..1048576)
 ///   --stream-shards N (1..256)  --stream-drift-z X (>= 0, 0 = probe off)
 ///   --agg-rule mean|trimmed_mean|median|norm_bounded|multi_krum
 ///   --attack-kind none|sign_flip|alie|label_flip|backdoor

@@ -293,31 +293,24 @@ metrics::DetectionMetrics detection_metrics(const ClientData& client) {
                                      client.filter_result.flags);
 }
 
-stream::StreamConfig make_stream_config(const ExperimentConfig& cfg,
-                                        std::size_t zones) {
-  EVFL_REQUIRE(zones >= 1, "make_stream_config needs at least one zone");
-  stream::StreamConfig sc;
-  sc.max_zones = zones;
-  sc.threshold = cfg.filter.threshold;
-  sc.queue_max = cfg.stream_queue_max;
-  // Shrink watermark at a quarter of the bound (>= 1): bursts borrow up to
-  // the max, steady state keeps a small resident ring.
-  sc.queue_shrink = std::max<std::size_t>(1, cfg.stream_queue_max / 4);
-  sc.flush_batch = cfg.stream_flush;
-  sc.drift_z = cfg.stream_drift_z;
-  return sc;
-}
-
 stream::ShardedConfig make_sharded_config(const ExperimentConfig& cfg,
                                           std::size_t zones) {
+  EVFL_REQUIRE(zones >= 1, "make_sharded_config needs at least one zone");
   stream::ShardedConfig sc;
   sc.shards = cfg.stream_shards;
-  sc.stream = make_stream_config(cfg, zones);
-  // Ring bound mirrors the event-queue knob (both are "how much burst the
-  // runtime absorbs before counted drops"), clamped to the MpscRing floor;
-  // watermark at a quarter of it like the event queue.
-  sc.ring_max = std::max<std::size_t>(8, cfg.stream_queue_max);
-  sc.ring_shrink = std::max<std::size_t>(8, sc.ring_max / 4);
+  sc.stream.max_zones = zones;
+  sc.stream.threshold = cfg.filter.threshold;
+  sc.stream.drift_z = cfg.stream_drift_z;
+  // Event queue and ingest rings share the bound (both are "how much burst
+  // the pipeline absorbs before counted drops") and the watermark at a
+  // quarter of it: bursts borrow up to the max, steady state keeps a
+  // small resident ring.  Both are MpscRings, so 8 <= shrink <= max.
+  const std::size_t bound = std::max<std::size_t>(8, cfg.stream_queue_max);
+  const std::size_t watermark = std::max<std::size_t>(8, bound / 4);
+  sc.stream.queue_max = bound;
+  sc.stream.queue_shrink = watermark;
+  sc.ring_max = bound;
+  sc.ring_shrink = watermark;
   return sc;
 }
 

@@ -1,9 +1,11 @@
-// MpscRing — the ingest side of the sharded streaming pipeline
-// (DESIGN.md §15): a bounded multi-producer / single-consumer ring that
-// generalizes BoundedQueue's contract (drop-oldest past the hard bound
-// with an exact counted drop, storage that grows under bursts and shrinks
-// back to a watermark on drain) to concurrent producers, with a
-// reserve/commit fast path that takes no lock:
+// MpscRing — the one bounded queue of the streaming pipeline (DESIGN.md
+// §14): each shard's sample-ingest ring and the pipeline's anomaly-event
+// queue.  Past the hard bound it drops the OLDEST entry with an exact
+// count (a live detector keeps the freshest data when its consumer
+// stalls, and the counter makes the loss observable); storage grows
+// under bursts and shrinks back to a watermark on drain, so a burst
+// cannot permanently pin its high-water memory.  Producers take a
+// reserve/commit fast path that holds no lock:
 //
 //  - push() claims a ticket with one CAS on the tail counter, writes its
 //    slot, and publishes with one release store of the slot's sequence
@@ -14,9 +16,9 @@
 //    mutex-guarded slow path that grows the buffer toward `max`, or at
 //    `max` consumes the oldest committed entry in the consumer's stead
 //    (drop-oldest with an exact count), then retries the fast path;
-//  - drain() (single consumer) hands the committed prefix over in ticket
-//    order and shrinks storage back to the watermark once the ring is
-//    empty, so a burst cannot permanently pin its high-water memory;
+//  - drain() hands the committed prefix over in ticket order under the
+//    mutex and shrinks storage back to the watermark once the ring is
+//    empty;
 //  - buffer swaps (grow/shrink) use a gate: producers register in an
 //    in-flight counter before touching the buffer, the swapper sets the
 //    gate and waits for that counter to drain, so no producer ever writes
@@ -28,9 +30,11 @@
 // slot is always free (or becomes free after a bounded commit-ordering
 // window), and nobody ever waits on a producer that is itself blocked.
 //
-// Thread safety: any number of producers may push() concurrently with one
-// drain()er; size()/dropped()/capacity() are safe from any thread
-// (size/capacity are instantaneous snapshots).
+// Thread safety: any number of producers may push() concurrently with
+// drain().  drain() runs entirely under the mutex, so concurrent drainers
+// are safe too (each entry goes to exactly one of them).  size(),
+// dropped() and capacity() are safe from any thread (instantaneous
+// snapshots).
 #pragma once
 
 #include <atomic>
@@ -103,7 +107,8 @@ class MpscRing {
   /// shrink storage to the watermark if a burst grew it and the ring is
   /// now empty.  An entry claimed but not yet committed by a preempted
   /// producer stops the drain early (FIFO is never reordered around it);
-  /// it is handed over by the next drain.  Single consumer.
+  /// it is handed over by the next drain.  Safe against concurrent
+  /// drainers (serialized by the mutex).
   std::size_t drain(std::vector<T>& out) {
     std::lock_guard<std::mutex> lock(mutex_);
     Slot* buf = buf_.load(std::memory_order_relaxed);
@@ -132,10 +137,12 @@ class MpscRing {
   }
 
   /// Instantaneous entry count (racy snapshot under concurrent pushes).
+  /// Taken under the mutex: a buffer swap renumbers head and tail, and an
+  /// unlocked read could pair a pre-swap head with a post-swap tail.
   std::size_t size() const {
-    const std::uint64_t head = head_pub_.load(std::memory_order_acquire);
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    return static_cast<std::size_t>(tail - head);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return static_cast<std::size_t>(tail_.load(std::memory_order_acquire) -
+                                    head_);
   }
 
   /// Current storage slots (watermark after a drain of a quiet ring).
@@ -194,6 +201,10 @@ class MpscRing {
   /// producers on the mutex while in-flight ones finish against the old
   /// buffer; with `writers_ == 0` every issued ticket has committed, so
   /// the relocation sees only complete values and may renumber freely.
+  /// A shrink decided on an empty ring can lose a race with fast-path
+  /// producers that claimed slots before the gate went up; when the live
+  /// entries no longer fit, the swap is skipped and the next empty drain
+  /// retries it.  (A grow always fits: claims never outrun `cap`.)
   void swap_buffer_locked(std::size_t new_cap) {
     gate_.store(true, std::memory_order_seq_cst);
     while (writers_.load(std::memory_order_seq_cst) != 0) {
@@ -203,7 +214,10 @@ class MpscRing {
     const std::size_t cap = cap_.load(std::memory_order_relaxed);
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     const std::uint64_t count = tail - head_;
-    EVFL_ASSERT(count <= new_cap, "MpscRing swap would lose entries");
+    if (count > new_cap) {
+      gate_.store(false, std::memory_order_seq_cst);
+      return;
+    }
     auto fresh = make_slots(new_cap, 0);
     for (std::uint64_t i = 0; i < count; ++i) {
       fresh[i].value = std::move(old[(head_ + i) % cap].value);
@@ -232,7 +246,7 @@ class MpscRing {
 
   std::atomic<std::uint32_t> writers_{0};  // producers touching the buffer
   std::atomic<bool> gate_{false};          // buffer swap in flight
-  std::mutex mutex_;                       // slow path + consumer
+  mutable std::mutex mutex_;               // slow path + consumer
 };
 
 }  // namespace evfl::stream

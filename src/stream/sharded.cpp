@@ -67,10 +67,12 @@ ShardedPipeline::ShardedPipeline(forecast::Engine& engine,
 std::uint32_t ShardedPipeline::add_zone(const data::MinMaxScaler& scaler) {
   EVFL_REQUIRE(zones_.size() < cfg_.stream.max_zones,
                "ShardedPipeline: max_zones exceeded");
-  zones_.emplace_back();
-  zones_.back().init(scaler, lookback_, cfg_.stream.threshold,
-                     cfg_.stream.drift_z, cfg_.stream.drift_window,
-                     cfg_.stream.flush_batch);
+  // Build the zone before registering it, so a rejected scaler leaves no
+  // half-initialized zone behind.
+  detail::ZoneState z;
+  z.init(scaler, lookback_, cfg_.stream.threshold, cfg_.stream.drift_z,
+         cfg_.stream.drift_window);
+  zones_.push_back(std::move(z));
   const std::uint32_t id = static_cast<std::uint32_t>(zones_.size() - 1);
   shards_[id % shards_.size()]->zone_ids.push_back(id);
   return id;
@@ -86,8 +88,11 @@ void ShardedPipeline::seed_threshold(std::uint32_t zone,
   EVFL_REQUIRE(zone < zones_.size(), "ShardedPipeline: unknown zone");
   detail::ZoneState& z = zones_[zone];
   EVFL_REQUIRE(!z.frozen, "seed_threshold on a frozen zone");
+  // nonfinite_dropped() is cumulative: count only this call's rejects, so
+  // seeding a zone in several chunks never re-counts an earlier chunk.
+  const std::uint64_t before = z.estimator.nonfinite_dropped();
   for (float s : scores) z.estimator.observe(s);
-  seed_nonfinite_ += z.estimator.nonfinite_dropped();
+  seed_nonfinite_ += z.estimator.nonfinite_dropped() - before;
   if (z.estimator.count() > 0) z.threshold = z.estimator.value();
 }
 

@@ -1,11 +1,8 @@
-// evfl::stream::ShardedPipeline — the multi-core streaming runtime
-// (DESIGN.md §15).  StreamPipeline (pipeline.hpp) is single-producer: one
-// thread owns ingest and flush, and one engine round batches at most one
-// sample per zone.  A fleet-scale deployment has neither property — many
-// collector threads deliver samples concurrently, and one core cannot keep
-// up with the per-sample bookkeeping.  ShardedPipeline keeps the exact
-// per-zone semantics (zone_state.hpp, shared verbatim with StreamPipeline)
-// and changes only who runs them:
+// evfl::stream::ShardedPipeline — the streaming detection pipeline
+// (DESIGN.md §14): per-zone online detection (zone_state.hpp) driven by a
+// control thread over hash-partitioned shards.  With `shards = 1` and no
+// pool it is the plain single-core pipeline; more shards change only who
+// runs the per-zone state machine, never what it computes:
 //
 //   - zones are hash-partitioned across `shards` (zone % shards); each
 //     shard owns its zones' sliding windows, incremental thresholds, drift
@@ -22,14 +19,16 @@
 //     forecast::Engine::score() call for ALL shards' rows — engine batch
 //     efficiency scales with total zones, not per-shard zones — then
 //     shards scatter their scores back through apply_forecast() in
-//     parallel.  The 1-row-pad-to-2 engine rule is applied once to the
-//     merged batch, never per shard or per zone;
-//   - events fan in to one BoundedQueue in shard order (shard 0's zones
-//     first), so consumer-visible order is deterministic.
+//     parallel.  The 1-row-pad-to-2 engine rule (pipeline.hpp) is applied
+//     once to the merged batch, never per shard or per zone;
+//   - events fan in to one event ring (the same MpscRing type) in shard
+//     order (shard 0's zones first), so consumer-visible order is
+//     deterministic; a stalled consumer costs bounded memory and a counted
+//     drop, never an unbounded buffer.
 //
 // Determinism contract: per-zone outputs (scores, flags, events,
-// thresholds) are bit-identical regardless of shard count or producer
-// interleaving, and — frozen — bit-identical to StreamPipeline and
+// thresholds) are bit-identical regardless of shard count, flush cadence
+// or producer interleaving, and — frozen — bit-identical to
 // batch_scores().  The argument: every staged row runs the engine's wide
 // tier (pad-to-2), whose per-row results are independent of batch
 // composition (pinned by the engine's own tests); zone state is touched
@@ -37,14 +36,17 @@
 // order is whatever the producers delivered — identical interleavings give
 // identical results, and a single producer per zone (the common collector
 // topology) makes the whole pipeline deterministic end to end
-// (tests/test_sharded.cpp pins 1/2/4/8-shard equality).
+// (tests/test_sharded.cpp pins 1/2/4/8-shard equality, frozen and
+// adaptive).
 //
 // Threading: ingest() from any number of threads, concurrently with one
 // control thread calling flush(); drain() is safe from consumer threads.
 // add_zone()/seed_threshold()/freeze_threshold() are setup-phase only —
 // never concurrent with ingest() or flush().  After warmup, a serial
 // flush() of clean data allocates nothing (bench_stream --check-allocs
-// pins this per shard).
+// pins this); per-zone sample queues grow on demand during warmup and
+// keep their capacity.  Repairing a flagged sample may allocate
+// transiently inside the shared imputation routine.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +61,6 @@
 #include "runtime/run_context.hpp"
 #include "stream/mpsc_ring.hpp"
 #include "stream/pipeline.hpp"
-#include "stream/queue.hpp"
 #include "stream/zone_state.hpp"
 #include "tensor/tensor3.hpp"
 
@@ -68,10 +69,8 @@ namespace evfl::stream {
 struct ShardedConfig {
   /// Shard (worker-partition) count; zone z belongs to shard z % shards.
   std::size_t shards = 1;
-  /// Per-zone semantics and sizing, shared with StreamPipeline.
-  /// `max_zones` is the TOTAL across all shards; `flush_batch` only sizes
-  /// the per-zone queue reserve (producers cannot flush — the control
-  /// thread owns cadence).
+  /// Per-zone semantics and sizing; `max_zones` is the TOTAL across all
+  /// shards.
   StreamConfig stream{};
   /// Per-shard ingest-ring hard bound and post-drain storage watermark
   /// (MpscRing contract: 8 <= shrink <= max).
@@ -82,8 +81,12 @@ struct ShardedConfig {
 class ShardedPipeline {
  public:
   /// The engine must outlive the pipeline and accept batches of
-  /// max(2, cfg.stream.max_zones).  Optional registry/trace as in
-  /// StreamPipeline (counters gain stream.ingest_dropped).
+  /// max(2, cfg.stream.max_zones).  `registry` (optional) receives
+  /// stream.queue_depth / stream.events_dropped gauges,
+  /// stream.samples_total / events_total / not_ready_total / gaps_total /
+  /// reseeds_total / ingest_dropped counters and a stream.flush_seconds
+  /// histogram; `trace` (optional) gets one span per flush.  Both must
+  /// outlive the pipeline.
   ShardedPipeline(forecast::Engine& engine, const ShardedConfig& cfg,
                   obs::Registry* registry = nullptr,
                   obs::TraceWriter* trace = nullptr);
@@ -91,18 +94,27 @@ class ShardedPipeline {
   ShardedPipeline(const ShardedPipeline&) = delete;
   ShardedPipeline& operator=(const ShardedPipeline&) = delete;
 
-  /// Register a zone (setup phase only); returns the global zone id.
-  /// Zone ids are assigned in call order, so shard ownership is
-  /// reproducible: zone i lives on shard i % shards.
+  /// Register a zone with its fitted scaler (setup phase only); returns
+  /// the global zone id.  Zone ids are assigned in call order, so shard
+  /// ownership is reproducible: zone i lives on shard i % shards.  Zones
+  /// start empty (not ready) with no threshold: until seeded/frozen or
+  /// enough scores adapt one in, nothing is flagged.
   std::uint32_t add_zone(const data::MinMaxScaler& scaler);
 
-  /// Setup-phase threshold controls, identical to StreamPipeline.
+  /// Fold calibration scores (e.g. a clean prefix scored by batch_scores)
+  /// into the zone's estimator and arm the threshold.  Setup phase only;
+  /// may be called more than once per zone (calibration in chunks).
   void seed_threshold(std::uint32_t zone, const std::vector<float>& scores);
+  /// Pin the zone's threshold to a fixed value; it never adapts (or
+  /// re-seeds) afterwards (the strict batch-equivalence mode).
   void freeze_threshold(std::uint32_t zone, float threshold);
 
   /// Enqueue one sample — safe from ANY thread, concurrently with flush().
-  /// Back-pressure: a full shard ring drops its oldest sample (counted in
-  /// stats().ingest_dropped), never blocks the producer unboundedly.
+  /// `t` is the zone's sample clock: any step other than last_t + 1 is
+  /// churn (gap or restart) and resets the zone's window to not-ready at
+  /// processing time.  Back-pressure: a full shard ring drops its oldest
+  /// sample (counted in stats().ingest_dropped), never blocks the producer
+  /// unboundedly.
   void ingest(std::uint32_t zone, std::uint64_t t, float value);
 
   /// Control thread: drain every shard ring into its zones' queues, then
@@ -112,7 +124,8 @@ class ShardedPipeline {
   /// Returns samples processed (scored + not-ready).
   std::size_t flush(const runtime::RunContext* ctx = nullptr);
 
-  /// Move queued events into `out` (fan-in order); consumer-thread safe.
+  /// Move queued events into `out` (fan-in order); safe from any number of
+  /// consumer threads.  Returns the number appended.
   std::size_t drain(std::vector<AnomalyEvent>& out);
 
   /// Aggregated counters across all shards (ingest_dropped = ring drops).
@@ -122,7 +135,9 @@ class ShardedPipeline {
   std::size_t shards() const { return shards_.size(); }
   /// Samples drained from rings but not yet scored (0 after flush()).
   std::size_t pending() const;
+  /// Window holds a full lookback (the next in-order sample gets scored).
   bool ready(std::uint32_t zone) const;
+  /// Current effective threshold; NaN while the zone is unarmed.
   float threshold(std::uint32_t zone) const;
   const anomaly::IncrementalThreshold& estimator(std::uint32_t zone) const;
   std::size_t lookback() const { return lookback_; }
@@ -184,7 +199,7 @@ class ShardedPipeline {
   tensor::Tensor3 staging_;
   std::vector<float> scores_;
 
-  BoundedQueue<AnomalyEvent> queue_;
+  MpscRing<AnomalyEvent> queue_;
   std::uint64_t flushes_ = 0;
   std::uint64_t seed_nonfinite_ = 0;  // nonfinite dropped during seeding
   StreamStats published_;

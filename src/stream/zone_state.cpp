@@ -10,13 +10,12 @@ namespace evfl::stream::detail {
 void ZoneState::init(const data::MinMaxScaler& fitted_scaler,
                      std::size_t lookback,
                      const anomaly::ThresholdRule& rule, double drift_z,
-                     std::size_t drift_window, std::size_t queue_reserve) {
+                     std::size_t drift_window) {
   EVFL_REQUIRE(fitted_scaler.fitted(), "ZoneState::init: unfitted scaler");
   scaler = fitted_scaler;
   ring.assign(lookback, 0.0f);
   estimator = anomaly::IncrementalThreshold(rule);
   if (drift_z > 0.0) drift = anomaly::DriftProbe(drift_z, drift_window);
-  queue.reserve(queue_reserve);
 }
 
 void RepairScratch::init(std::size_t lookback) {

@@ -117,13 +117,14 @@ TEST(CliOverrides, AppliesStreamKnobs) {
   ExperimentConfig cfg;
   EXPECT_EQ(cfg.stream_shards, 1u);        // sharding off by default
   EXPECT_DOUBLE_EQ(cfg.stream_drift_z, 0.0);  // drift probe off by default
-  apply(cfg, {"--stream", "1", "--stream-queue-max", "512", "--stream-flush",
-              "64", "--stream-shards", "8", "--stream-drift-z", "4.5"});
-  EXPECT_TRUE(cfg.stream);
+  // describe() surfaces the stream knobs only once one is set.
+  EXPECT_EQ(describe(cfg).find("stream-"), std::string::npos);
+  apply(cfg, {"--stream-queue-max", "512", "--stream-shards", "8",
+              "--stream-drift-z", "4.5"});
   EXPECT_EQ(cfg.stream_queue_max, 512u);
-  EXPECT_EQ(cfg.stream_flush, 64u);
   EXPECT_EQ(cfg.stream_shards, 8u);
   EXPECT_DOUBLE_EQ(cfg.stream_drift_z, 4.5);
+  EXPECT_NE(describe(cfg).find("stream-shards=8"), std::string::npos);
 }
 
 TEST(CliOverrides, RejectsBadStreamKnobs) {
@@ -137,8 +138,12 @@ TEST(CliOverrides, RejectsBadStreamKnobs) {
   EXPECT_THROW(apply(cfg, {"--stream-drift-z", "nanx"}), Error);
   EXPECT_THROW(apply(cfg, {"--stream-drift-z", "3.0z"}), Error);
   EXPECT_THROW(apply(cfg, {"--stream-queue-max", "0"}), Error);
-  EXPECT_THROW(apply(cfg, {"--stream-flush", "0"}), Error);
+  EXPECT_THROW(apply(cfg, {"--stream-queue-max", "7"}), Error);  // ring floor
+  EXPECT_THROW(apply(cfg, {"--stream-queue-max", "1048577"}), Error);
+  // The retired on/off switch is an unknown key, not silently ignored.
+  EXPECT_THROW(apply(cfg, {"--stream", "1"}), Error);
   // Validate-then-assign: a rejected value leaves the config untouched.
+  EXPECT_EQ(cfg.stream_queue_max, 4096u);
   EXPECT_EQ(cfg.stream_shards, 1u);
   EXPECT_DOUBLE_EQ(cfg.stream_drift_z, 0.0);
 }

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <thread>
 #include <tuple>
@@ -165,6 +167,44 @@ TEST(MpscRing, ConcurrentProducersNoConsumerUntilEnd) {
   EXPECT_EQ(out.size() + ring.dropped(), kProducers * kPerProducer);
 }
 
+TEST(MpscRing, ShrinkRacingProducersNeverLosesEntries) {
+  // Stress for a shrink race: drain() decides to shrink on an empty ring,
+  // then gates producers; slots claimed in between can outnumber the
+  // watermark, and the swap must then back off rather than lose entries.
+  // The window is timing-dependent, so this repeats the grow/shrink cycle
+  // many times rather than forcing it once.
+  constexpr std::size_t kProducers = 4;
+  constexpr std::uint64_t kPerProducer = 5000;
+  for (int run = 0; run < 50; ++run) {
+    MpscRing<std::uint64_t> ring(64, 8);
+    std::atomic<bool> done{false};
+    std::uint64_t drained = 0;
+    std::thread consumer([&] {
+      std::vector<std::uint64_t> out;
+      while (!done.load(std::memory_order_acquire)) {
+        out.clear();
+        drained += ring.drain(out);
+        std::this_thread::yield();
+      }
+      out.clear();
+      drained += ring.drain(out);
+    });
+    std::vector<std::thread> producers;
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+          ring.push(make_item(p, i));
+        }
+      });
+    }
+    for (std::thread& t : producers) t.join();
+    done.store(true, std::memory_order_release);
+    consumer.join();
+    ASSERT_EQ(drained + ring.dropped(), kProducers * kPerProducer)
+        << "run " << run;
+  }
+}
+
 // ---- ShardedPipeline fixtures ----------------------------------------------
 
 ForecasterConfig small_config() {
@@ -287,47 +327,6 @@ TEST(ShardedPipeline, FrozenBitIdenticalAcrossShardCounts) {
   }
   const ZoneTrace odd = run_sharded(fx.engine, 4, series, thresholds, 7);
   EXPECT_EQ(odd, base) << "odd flush cadence";
-}
-
-TEST(ShardedPipeline, MatchesStreamPipelinePerZone) {
-  // The sharded runtime and the single-producer StreamPipeline must agree
-  // per zone, event for event, score bit for score bit.
-  EngineFixture fx;
-  const std::size_t zones = 5;
-  const std::size_t n = 120;
-
-  std::vector<std::vector<float>> series;
-  std::vector<float> thresholds;
-  for (std::size_t z = 0; z < zones; ++z) {
-    series.push_back(make_series(n, 900 + z));
-    const std::vector<float> exp = batch_scores(fx.engine, series[z]);
-    thresholds.push_back(anomaly::percentile(exp, 88.0));
-  }
-
-  StreamConfig scfg;
-  scfg.max_zones = zones;
-  scfg.repair_inputs = false;
-  scfg.flush_batch = 1u << 20;  // manual flush only, like the sharded run
-  StreamPipeline ref(fx.engine, scfg);
-  for (std::size_t z = 0; z < zones; ++z) {
-    ref.add_zone(identity_scaler());
-    ref.freeze_threshold(static_cast<std::uint32_t>(z), thresholds[z]);
-  }
-  for (std::size_t t = 0; t < n; ++t) {
-    for (std::size_t z = 0; z < zones; ++z) {
-      ref.ingest(static_cast<std::uint32_t>(z), t, series[z][t]);
-    }
-  }
-  ref.flush();
-  std::vector<AnomalyEvent> ref_events;
-  ref.drain(ref_events);
-  const ZoneTrace ref_trace = trace_of(ref_events);
-  ASSERT_FALSE(ref_trace.empty()) << "degenerate fixture: nothing flagged";
-
-  for (std::size_t shards : {1u, 3u, 8u}) {
-    const ZoneTrace t = run_sharded(fx.engine, shards, series, thresholds, 40);
-    EXPECT_EQ(t, ref_trace) << "shards=" << shards;
-  }
 }
 
 TEST(ShardedPipeline, SingleZoneManyShards) {
@@ -561,6 +560,144 @@ TEST(ShardedPipeline, ParallelContextMatchesSerial) {
   std::vector<AnomalyEvent> events;
   pipe.drain(events);
   EXPECT_EQ(trace_of(events), serial);
+}
+
+TEST(ShardedPipeline, SeedingInChunksCountsEachNonFiniteScoreOnce) {
+  // Calibration may arrive in chunks; the estimator's non-finite counter is
+  // cumulative, so each seeding call must add only its own rejects.
+  EngineFixture fx;
+  ShardedConfig cfg;
+  cfg.stream.max_zones = 1;
+  ShardedPipeline pipe(fx.engine, cfg);
+  pipe.add_zone(identity_scaler());
+  pipe.seed_threshold(
+      0, {0.01f, std::numeric_limits<float>::quiet_NaN(), 0.02f});
+  pipe.seed_threshold(0, {0.03f, 0.015f});
+  EXPECT_EQ(pipe.stats().nonfinite_scores, 1u);
+  EXPECT_EQ(pipe.estimator(0).count(), 4u);
+  EXPECT_TRUE(std::isfinite(pipe.threshold(0)));
+}
+
+// ---- Adaptive-mode shard invariance -----------------------------------------
+
+std::uint32_t float_bits(float f) {
+  std::uint32_t b = 0;
+  std::memcpy(&b, &f, sizeof b);
+  return b;
+}
+
+/// Everything an adaptive run exposes: per-zone events as exact bits
+/// (t, score, threshold, repaired), final per-zone threshold bits, and the
+/// aggregated counters.
+struct AdaptiveRun {
+  std::map<std::uint32_t, std::vector<std::tuple<std::uint64_t, std::uint32_t,
+                                                 std::uint32_t, std::uint32_t>>>
+      trace;
+  std::vector<std::uint32_t> final_thresholds;
+  StreamStats stats;
+};
+
+auto stats_fields(const StreamStats& s) {
+  return std::make_tuple(s.samples_total, s.scored_total, s.not_ready_total,
+                         s.gaps_total, s.events_total, s.events_dropped,
+                         s.repaired_total, s.nonfinite_inputs,
+                         s.nonfinite_scores, s.reseeds_total,
+                         s.ingest_dropped, s.flushes_total);
+}
+
+/// The adaptive contract's fixture: seeded thresholds, repair on, drift
+/// armed; zone 1 and 4 miss ticks (gaps), zone 2 delivers a NaN, every zone
+/// gets a short attack burst, and zones 0 and 3 shift level for good.
+AdaptiveRun run_adaptive(Engine& engine, std::size_t shards,
+                         const runtime::RunContext* ctx) {
+  constexpr std::size_t kZones = 6;
+  constexpr std::size_t kTicks = 420;
+  constexpr std::size_t kCalib = 100;
+
+  ShardedConfig cfg;
+  cfg.shards = shards;
+  cfg.stream.max_zones = kZones;
+  cfg.stream.threshold = {anomaly::ThresholdKind::kPercentile, 98.0};
+  cfg.stream.drift_z = 4.0;
+  cfg.stream.drift_window = 32;
+  ShardedPipeline pipe(engine, cfg);
+
+  std::vector<std::vector<float>> series;
+  for (std::size_t z = 0; z < kZones; ++z) {
+    std::vector<float> v = make_series(kTicks, 600 + z);
+    pipe.add_zone(identity_scaler());
+    pipe.seed_threshold(
+        static_cast<std::uint32_t>(z),
+        batch_scores(engine, {v.begin(), v.begin() + kCalib}));
+    for (std::size_t k = 0; k < 3; ++k) v[150 + 20 * z + k] = 3.0f;
+    if (z == 0 || z == 3) {
+      for (std::size_t t = 260; t < kTicks; ++t) v[t] += 0.4f;
+    }
+    series.push_back(std::move(v));
+  }
+  series[2][180] = std::numeric_limits<float>::quiet_NaN();
+  const auto missing = [](std::size_t z, std::size_t t) {
+    return (z == 1 && t >= 200 && t < 205) || (z == 4 && t >= 300 && t < 303);
+  };
+
+  AdaptiveRun run;
+  std::vector<AnomalyEvent> events;
+  for (std::size_t t = 0; t < kTicks; ++t) {
+    for (std::size_t z = 0; z < kZones; ++z) {
+      if (missing(z, t)) continue;
+      pipe.ingest(static_cast<std::uint32_t>(z), t, series[z][t]);
+    }
+    if ((t + 1) % 25 == 0) {
+      pipe.flush(ctx);
+      pipe.drain(events);
+    }
+  }
+  pipe.flush(ctx);
+  pipe.drain(events);
+  for (const AnomalyEvent& ev : events) {
+    run.trace[ev.zone].emplace_back(ev.t, float_bits(ev.score),
+                                    float_bits(ev.threshold),
+                                    float_bits(ev.repaired));
+  }
+  for (std::size_t z = 0; z < kZones; ++z) {
+    run.final_thresholds.push_back(
+        float_bits(pipe.threshold(static_cast<std::uint32_t>(z))));
+  }
+  run.stats = pipe.stats();
+  return run;
+}
+
+TEST(ShardedPipeline, AdaptiveBitIdenticalAcrossShardCountsAndPool) {
+  // The adaptive half of the determinism contract: threshold adaptation,
+  // edge repair, gap resets and drift re-seeding all run per zone on the
+  // owning shard, so shard count and pool dispatch must not change a bit.
+  EngineFixture fx;
+  const AdaptiveRun base = run_adaptive(fx.engine, 1, nullptr);
+
+  // Non-degenerate: every adaptive path actually ran.
+  const StreamStats& st = base.stats;
+  ASSERT_GT(st.events_total, 0u);
+  ASSERT_GT(st.repaired_total, 0u);
+  ASSERT_GT(st.reseeds_total, 0u);
+  ASSERT_EQ(st.gaps_total, 2u);
+  ASSERT_EQ(st.nonfinite_inputs, 1u);
+  ASSERT_EQ(st.events_dropped, 0u);
+
+  for (std::size_t shards : {2u, 4u, 8u}) {
+    const AdaptiveRun r = run_adaptive(fx.engine, shards, nullptr);
+    EXPECT_EQ(r.trace, base.trace) << "shards=" << shards;
+    EXPECT_EQ(r.final_thresholds, base.final_thresholds) << "shards=" << shards;
+    EXPECT_EQ(stats_fields(r.stats), stats_fields(base.stats))
+        << "shards=" << shards;
+  }
+
+  runtime::ThreadPool pool(4);
+  runtime::RunContext ctx;
+  ctx.pool = &pool;
+  const AdaptiveRun pooled = run_adaptive(fx.engine, 4, &ctx);
+  EXPECT_EQ(pooled.trace, base.trace);
+  EXPECT_EQ(pooled.final_thresholds, base.final_thresholds);
+  EXPECT_EQ(stats_fields(pooled.stats), stats_fields(base.stats));
 }
 
 // ---- Validation -------------------------------------------------------------

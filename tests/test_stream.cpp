@@ -11,7 +11,8 @@
 
 #include "common/error.hpp"
 #include "forecast/model.hpp"
-#include "stream/queue.hpp"
+#include "stream/mpsc_ring.hpp"
+#include "stream/sharded.hpp"
 #include "tensor/rng.hpp"
 
 namespace evfl::stream {
@@ -20,52 +21,70 @@ namespace {
 using forecast::Engine;
 using forecast::ForecasterConfig;
 
+// The `StreamPipeline` suite pins the stream pipeline's per-zone behaviour
+// on its plain single-core shape: ShardedPipeline with one shard and no
+// pool, flushed by the caller (the control thread owns flush cadence).
+// Shard-count invariance lives in test_sharded.cpp.
+
 // ---- BoundedQueue -----------------------------------------------------------
+//
+// The `BoundedQueue` suite pins the pipeline's bounded event queue: the
+// MpscRing<AnomalyEvent> that ShardedPipeline::drain() empties.  The ring's
+// generic contract (and its concurrency) lives in test_sharded.cpp.
+
+using EventQueue = MpscRing<AnomalyEvent>;
+
+AnomalyEvent event_at(std::uint64_t t) {
+  AnomalyEvent ev;
+  ev.t = t;
+  return ev;
+}
 
 TEST(BoundedQueue, FifoWithinBound) {
-  BoundedQueue<int> q(8, 4);
-  for (int i = 0; i < 6; ++i) q.push(i);
+  EventQueue q(16, 8);
+  for (std::uint64_t t = 0; t < 6; ++t) q.push(event_at(t));
   EXPECT_EQ(q.size(), 6u);
   EXPECT_EQ(q.dropped(), 0u);
-  std::vector<int> out;
+  std::vector<AnomalyEvent> out;
   EXPECT_EQ(q.drain(out), 6u);
   ASSERT_EQ(out.size(), 6u);
-  for (int i = 0; i < 6; ++i) EXPECT_EQ(out[i], i);
+  for (std::uint64_t t = 0; t < 6; ++t) EXPECT_EQ(out[t].t, t);
   EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(BoundedQueue, DropsOldestPastMaxWithCount) {
-  BoundedQueue<int> q(4, 2);
-  for (int i = 0; i < 10; ++i) q.push(i);
-  EXPECT_EQ(q.size(), 4u);
-  EXPECT_EQ(q.dropped(), 6u);
-  // The freshest entries survive back-pressure, in order.
-  std::vector<int> out;
+  EventQueue q(8, 8);
+  for (std::uint64_t t = 0; t < 20; ++t) q.push(event_at(t));
+  EXPECT_EQ(q.size(), 8u);
+  EXPECT_EQ(q.dropped(), 12u);
+  // The freshest events survive back-pressure, in order.
+  std::vector<AnomalyEvent> out;
   q.drain(out);
-  ASSERT_EQ(out.size(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i], 6 + i);
+  ASSERT_EQ(out.size(), 8u);
+  for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(out[i].t, 12 + i);
 }
 
 TEST(BoundedQueue, StorageGrowsUnderBurstAndShrinksOnDrain) {
-  BoundedQueue<int> q(64, 4);
-  EXPECT_EQ(q.capacity(), 4u);
-  for (int i = 0; i < 40; ++i) q.push(i);
+  EventQueue q(64, 8);
+  EXPECT_EQ(q.capacity(), 8u);
+  for (std::uint64_t t = 0; t < 40; ++t) q.push(event_at(t));
   EXPECT_GE(q.capacity(), 40u);
-  std::vector<int> out;
+  std::vector<AnomalyEvent> out;
   q.drain(out);
-  EXPECT_EQ(q.capacity(), 4u);  // burst memory returned
+  EXPECT_EQ(q.capacity(), 8u);  // burst memory returned
   // Steady state within the watermark never grows the storage again.
-  for (int i = 0; i < 4; ++i) q.push(i);
-  EXPECT_EQ(q.capacity(), 4u);
+  for (std::uint64_t t = 0; t < 8; ++t) q.push(event_at(t));
+  EXPECT_EQ(q.capacity(), 8u);
 }
 
 TEST(BoundedQueue, Validation) {
-  EXPECT_THROW(BoundedQueue<int>(0, 1), Error);
-  EXPECT_THROW(BoundedQueue<int>(4, 8), Error);
-  EXPECT_THROW(BoundedQueue<int>(4, 0), Error);
+  EXPECT_THROW(EventQueue(0, 1), Error);
+  EXPECT_THROW(EventQueue(4, 8), Error);   // shrink > max
+  EXPECT_THROW(EventQueue(16, 0), Error);
+  EXPECT_THROW(EventQueue(16, 4), Error);  // shrink floor is 8
 }
 
-// ---- StreamPipeline fixtures ------------------------------------------------
+// ---- Fixtures ---------------------------------------------------------------
 
 /// Small-but-real forecaster (same shape as the engine tests).
 ForecasterConfig small_config() {
@@ -97,6 +116,13 @@ std::vector<float> make_series(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+/// The single-core pipeline: one shard, no pool.
+ShardedConfig one_shard(std::size_t max_zones) {
+  ShardedConfig cfg;
+  cfg.stream.max_zones = max_zones;
+  return cfg;
+}
+
 struct EngineFixture {
   ForecasterConfig model = small_config();
   Engine engine;
@@ -117,11 +143,9 @@ TEST(StreamPipeline, FrozenThresholdBitIdenticalToBatch) {
   const std::size_t zones = 3;
   const std::size_t n = 120;
 
-  StreamConfig cfg;
-  cfg.max_zones = zones;
-  cfg.repair_inputs = false;  // batch scores the raw series; so must we
-  cfg.flush_batch = 32;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedConfig cfg = one_shard(zones);
+  cfg.stream.repair_inputs = false;  // batch scores the raw series; so must we
+  ShardedPipeline pipe(fx.engine, cfg);
 
   std::vector<std::vector<float>> series;
   std::vector<std::vector<float>> expected;
@@ -135,10 +159,12 @@ TEST(StreamPipeline, FrozenThresholdBitIdenticalToBatch) {
                           anomaly::percentile(expected[z], 90.0));
   }
 
-  // Interleave zones the way a real feed would.
+  // Interleave zones the way a real feed would, flushing every 32 samples.
+  std::size_t fed = 0;
   for (std::size_t t = 0; t < n; ++t) {
     for (std::size_t z = 0; z < zones; ++z) {
       pipe.ingest(static_cast<std::uint32_t>(z), t, series[z][t]);
+      if (++fed % 32 == 0) pipe.flush();
     }
   }
   pipe.flush();
@@ -187,15 +213,16 @@ TEST(StreamPipeline, SingleZoneStillMatchesBatch) {
   const std::vector<float> series = make_series(n, 5);
   const std::vector<float> expected = batch_scores(fx.engine, series);
 
-  StreamConfig cfg;
-  cfg.max_zones = 1;
-  cfg.repair_inputs = false;
-  cfg.flush_batch = 7;  // odd cadence: exercises mid-series flush cuts
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedConfig cfg = one_shard(1);
+  cfg.stream.repair_inputs = false;
+  ShardedPipeline pipe(fx.engine, cfg);
   pipe.add_zone(identity_scaler());
   pipe.freeze_threshold(0, anomaly::percentile(expected, 85.0));
 
-  for (std::size_t t = 0; t < n; ++t) pipe.ingest(0, t, series[t]);
+  for (std::size_t t = 0; t < n; ++t) {
+    pipe.ingest(0, t, series[t]);
+    if ((t + 1) % 7 == 0) pipe.flush();  // odd cadence: mid-series cuts
+  }
   pipe.flush();
 
   std::vector<AnomalyEvent> events;
@@ -215,9 +242,7 @@ TEST(StreamPipeline, NoScoreUntilLookbackSamples) {
   EngineFixture fx;
   const std::size_t lookback = fx.model.sequence_length;
 
-  StreamConfig cfg;
-  cfg.max_zones = 1;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(1));
   pipe.add_zone(identity_scaler());
   pipe.freeze_threshold(0, 0.0f);  // everything scored would be flagged
 
@@ -242,9 +267,7 @@ TEST(StreamPipeline, GapResetsWindowToNotReady) {
   EngineFixture fx;
   const std::size_t lookback = fx.model.sequence_length;
 
-  StreamConfig cfg;
-  cfg.max_zones = 1;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(1));
   pipe.add_zone(identity_scaler());
   pipe.freeze_threshold(0, 1e6f);
 
@@ -273,10 +296,9 @@ TEST(StreamPipeline, GapResetsWindowToNotReady) {
 
 TEST(StreamPipeline, UnarmedZoneNeverFlags) {
   EngineFixture fx;
-  StreamConfig cfg;
-  cfg.max_zones = 1;
-  cfg.adapt_thresholds = false;  // never arms on its own
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedConfig cfg = one_shard(1);
+  cfg.stream.adapt_thresholds = false;  // never arms on its own
+  ShardedPipeline pipe(fx.engine, cfg);
   pipe.add_zone(identity_scaler());
   EXPECT_TRUE(std::isnan(pipe.threshold(0)));
 
@@ -289,10 +311,9 @@ TEST(StreamPipeline, UnarmedZoneNeverFlags) {
 
 TEST(StreamPipeline, SeededThresholdAdaptsOnline) {
   EngineFixture fx;
-  StreamConfig cfg;
-  cfg.max_zones = 1;
-  cfg.threshold = {anomaly::ThresholdKind::kPercentile, 99.0};
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedConfig cfg = one_shard(1);
+  cfg.stream.threshold = {anomaly::ThresholdKind::kPercentile, 99.0};
+  ShardedPipeline pipe(fx.engine, cfg);
   pipe.add_zone(identity_scaler());
 
   // Seed from a clean calibration run, then keep streaming: the estimator
@@ -318,11 +339,10 @@ TEST(StreamPipeline, AdaptationWinsorizesFlaggedScores) {
   // times the seeded threshold) moves the estimate a bounded amount and
   // every plateau sample keeps getting flagged.
   EngineFixture fx;
-  StreamConfig cfg;
-  cfg.max_zones = 1;
-  cfg.threshold = {anomaly::ThresholdKind::kPercentile, 98.0};
-  cfg.repair_inputs = false;  // raw windows; isolate the adaptation path
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedConfig cfg = one_shard(1);
+  cfg.stream.threshold = {anomaly::ThresholdKind::kPercentile, 98.0};
+  cfg.stream.repair_inputs = false;  // raw windows; isolate the adaptation path
+  ShardedPipeline pipe(fx.engine, cfg);
   pipe.add_zone(identity_scaler());
 
   const std::vector<float> series = make_series(400, 33);
@@ -340,7 +360,10 @@ TEST(StreamPipeline, AdaptationWinsorizesFlaggedScores) {
   const std::uint64_t attack_start = t;
   for (std::size_t k = 0; k < 10; ++k, ++t) pipe.ingest(0, t, 25.0f);
   const std::uint64_t attack_end = t;
-  for (; t < series.size(); ++t) pipe.ingest(0, t, series[t]);
+  for (; t < series.size(); ++t) {
+    pipe.ingest(0, t, series[t]);
+    if (t + 1 == 256) pipe.flush();  // one mid-stream flush, past the attack
+  }
   pipe.flush();
 
   std::vector<AnomalyEvent> events;
@@ -366,10 +389,9 @@ TEST(StreamPipeline, RepairHoldsNearestTrustworthyValue) {
   EngineFixture fx;
   const std::size_t lookback = fx.model.sequence_length;
 
-  StreamConfig cfg;
-  cfg.max_zones = 1;
-  cfg.repair_inputs = true;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedConfig cfg = one_shard(1);
+  cfg.stream.repair_inputs = true;
+  ShardedPipeline pipe(fx.engine, cfg);
   pipe.add_zone(identity_scaler());
   // Generous frozen threshold: only the injected spike gets flagged.
   const std::vector<float> series = make_series(3 * lookback, 31);
@@ -403,10 +425,9 @@ TEST(StreamPipeline, NonFiniteInputNeverPoisonsScoring) {
   EngineFixture fx;
   const std::size_t lookback = fx.model.sequence_length;
 
-  StreamConfig cfg;
-  cfg.max_zones = 1;
-  cfg.repair_inputs = true;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedConfig cfg = one_shard(1);
+  cfg.stream.repair_inputs = true;
+  ShardedPipeline pipe(fx.engine, cfg);
   pipe.add_zone(identity_scaler());
   pipe.freeze_threshold(0, 1e6f);
 
@@ -431,12 +452,12 @@ TEST(StreamPipeline, NonFiniteInputNeverPoisonsScoring) {
 
 TEST(StreamPipeline, BackPressureDropsOldestAndCounts) {
   EngineFixture fx;
-  StreamConfig cfg;
-  cfg.max_zones = 1;
-  cfg.repair_inputs = false;
-  cfg.queue_max = 4;
-  cfg.queue_shrink = 2;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedConfig cfg = one_shard(1);
+  cfg.stream.repair_inputs = false;
+  cfg.stream.queue_max = 8;  // the event ring's floor
+  cfg.stream.queue_shrink = 8;
+  ShardedPipeline pipe(fx.engine, cfg);
+  const std::size_t queue_max = cfg.stream.queue_max;
   pipe.add_zone(identity_scaler());
   pipe.freeze_threshold(0, 0.0f);  // every scored sample becomes an event
 
@@ -447,42 +468,24 @@ TEST(StreamPipeline, BackPressureDropsOldestAndCounts) {
 
   const StreamStats st = pipe.stats();
   const std::size_t scored = st.scored_total;
-  ASSERT_GT(scored, cfg.queue_max);
+  ASSERT_GT(scored, queue_max);
   EXPECT_EQ(st.events_total, scored);
-  EXPECT_EQ(st.events_dropped, scored - cfg.queue_max);
+  EXPECT_EQ(st.events_dropped, scored - queue_max);
 
   // Only the freshest events survive, still in order.
   std::vector<AnomalyEvent> events;
-  EXPECT_EQ(pipe.drain(events), cfg.queue_max);
+  EXPECT_EQ(pipe.drain(events), queue_max);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].t, n - cfg.queue_max + i);
+    EXPECT_EQ(events[i].t, n - queue_max + i);
   }
-  EXPECT_EQ(pipe.stats().events_dropped, scored - cfg.queue_max);
+  EXPECT_EQ(pipe.stats().events_dropped, scored - queue_max);
 }
 
-// ---- Auto-flush and validation ---------------------------------------------
-
-TEST(StreamPipeline, IngestAutoFlushesAtBatch) {
-  EngineFixture fx;
-  StreamConfig cfg;
-  cfg.max_zones = 2;
-  cfg.flush_batch = 8;
-  StreamPipeline pipe(fx.engine, cfg);
-  pipe.add_zone(identity_scaler());
-  pipe.add_zone(identity_scaler());
-
-  for (std::size_t t = 0; t < 7; ++t) pipe.ingest(0, t, 0.5f);
-  EXPECT_EQ(pipe.pending(), 7u);
-  pipe.ingest(1, 0, 0.5f);  // 8th pending sample trips the flush
-  EXPECT_EQ(pipe.pending(), 0u);
-  EXPECT_EQ(pipe.stats().flushes_total, 1u);
-}
+// ---- Validation -------------------------------------------------------------
 
 TEST(StreamPipeline, Validation) {
   EngineFixture fx;
-  StreamConfig cfg;
-  cfg.max_zones = 1;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedPipeline pipe(fx.engine, one_shard(1));
   EXPECT_THROW(pipe.ingest(0, 0, 1.0f), Error);  // no zone yet
   pipe.add_zone(identity_scaler());
   EXPECT_THROW(pipe.add_zone(identity_scaler()), Error);  // max_zones
@@ -490,18 +493,15 @@ TEST(StreamPipeline, Validation) {
   EXPECT_THROW(pipe.freeze_threshold(7, 1.0f), Error);
   EXPECT_THROW(pipe.threshold(7), Error);
   data::MinMaxScaler unfitted;
-  StreamConfig cfg2;
-  cfg2.max_zones = 2;
-  StreamPipeline pipe2(fx.engine, cfg2);
+  ShardedPipeline pipe2(fx.engine, one_shard(2));
   EXPECT_THROW(pipe2.add_zone(unfitted), Error);
+  EXPECT_EQ(pipe2.zones(), 0u);  // a rejected zone is not half-registered
 
   // Engine too small for the zone fan-out.
   forecast::EngineConfig small_engine;
   small_engine.max_batch = 2;
   Engine engine2(fx.model, small_engine);
-  StreamConfig wide;
-  wide.max_zones = 64;
-  EXPECT_THROW(StreamPipeline(engine2, wide), Error);
+  EXPECT_THROW(ShardedPipeline(engine2, one_shard(64)), Error);
 }
 
 // ---- Concurrent producer/consumer soak (TSan-exercised) ---------------------
@@ -512,12 +512,10 @@ TEST(StreamPipeline, ConcurrentDrainSoak) {
   const std::size_t zones = 2;
   const std::size_t n = 1500;
 
-  StreamConfig cfg;
-  cfg.max_zones = zones;
-  cfg.flush_batch = 16;
-  cfg.queue_max = 64;
-  cfg.queue_shrink = 16;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedConfig cfg = one_shard(zones);
+  cfg.stream.queue_max = 64;
+  cfg.stream.queue_shrink = 16;
+  ShardedPipeline pipe(fx.engine, cfg);
   std::vector<std::vector<float>> series;
   for (std::size_t z = 0; z < zones; ++z) {
     series.push_back(make_series(n, 40 + z));
@@ -538,11 +536,13 @@ TEST(StreamPipeline, ConcurrentDrainSoak) {
     drained.fetch_add(pipe.drain(out), std::memory_order_relaxed);
   });
 
+  std::size_t fed = 0;
   for (std::size_t t = 0; t < n; ++t) {
     for (std::size_t z = 0; z < zones; ++z) {
       // Periodic churn on zone 1: skip a tick every 400 samples.
       const std::uint64_t ts = z == 1 ? t + (t / 400) : t;
       pipe.ingest(static_cast<std::uint32_t>(z), ts, series[z][t]);
+      if (++fed % 16 == 0) pipe.flush();  // events race the consumer
     }
   }
   pipe.flush();
@@ -576,25 +576,25 @@ DriftRunResult run_drift_scenario(double drift_z) {
   const std::size_t tail_start = 200;  // post-shift sample where we start
                                        // counting residual false alarms
 
-  StreamConfig cfg;
-  cfg.max_zones = 1;
-  cfg.repair_inputs = false;  // keep score dynamics purely input-driven
-  cfg.drift_z = drift_z;
-  cfg.drift_window = 64;
-  cfg.flush_batch = 16;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedConfig cfg = one_shard(1);
+  cfg.stream.repair_inputs = false;  // keep score dynamics purely input-driven
+  cfg.stream.drift_z = drift_z;
+  cfg.stream.drift_window = 64;
+  ShardedPipeline pipe(fx.engine, cfg);
   pipe.add_zone(identity_scaler());
 
   const std::vector<float> base = make_series(n_base + n_shift + 1, 23);
   std::uint64_t t = 0;
-  for (std::size_t i = 0; i < n_base; ++i, ++t) pipe.ingest(0, t, base[t]);
+  const auto feed = [&](float value) {
+    pipe.ingest(0, t, value);
+    if (++t % 16 == 0) pipe.flush();
+  };
+  for (std::size_t i = 0; i < n_base; ++i) feed(base[t]);
   // The regime change: every subsequent sample rides 0.5 higher, so
   // forecast errors (and scores) stay inflated indefinitely — exactly the
   // shape winsorized adaptation crawls through and a re-seed jumps through.
   const std::uint64_t spike_t = t + n_shift;
-  for (std::size_t i = 0; i < n_shift; ++i, ++t) {
-    pipe.ingest(0, t, base[t] + 0.5f);
-  }
+  for (std::size_t i = 0; i < n_shift; ++i) feed(base[t] + 0.5f);
   pipe.ingest(0, t, base[t] + 2.5f);  // genuine anomaly on the new level
   pipe.flush();
 
@@ -630,11 +630,10 @@ TEST(StreamDrift, ReseedRecoversFasterAfterLevelShiftWithoutRecallLoss) {
 
 TEST(StreamDrift, FrozenZoneNeverReseeds) {
   EngineFixture fx;
-  StreamConfig cfg;
-  cfg.max_zones = 1;
-  cfg.drift_z = 1.0;  // hair trigger
-  cfg.drift_window = 8;
-  StreamPipeline pipe(fx.engine, cfg);
+  ShardedConfig cfg = one_shard(1);
+  cfg.stream.drift_z = 1.0;  // hair trigger
+  cfg.stream.drift_window = 8;
+  ShardedPipeline pipe(fx.engine, cfg);
   pipe.add_zone(identity_scaler());
   pipe.freeze_threshold(0, 0.5f);
 
