@@ -276,10 +276,10 @@ int main(int argc, char** argv) {
   // --- 1. frozen-threshold equivalence -------------------------------------
   // Repair off, thresholds frozen at the batch values, queue and rings
   // sized to hold everything, 4 shards and an off-cadence flush: the
-  // fan-in batches vary in width (one merged engine call per round, single
-  // pad-to-2 at the merged batch), yet the determinism contract (DESIGN.md
-  // §14) says the replay must flag exactly the batch anomaly set with
-  // bit-identical scores.
+  // fan-in batches vary in width (one merged engine call per round, down
+  // to a single row), yet the determinism contract (DESIGN.md §14) says
+  // the replay must flag exactly the batch anomaly set with bit-identical
+  // scores.
   std::size_t equiv_events = 0;
   std::size_t equiv_mismatches = 0;
   std::size_t batch_flagged = 0;

@@ -150,8 +150,7 @@ std::vector<ClientData> prepare_clients(const ExperimentConfig& cfg,
     if (load_cached_clients(cfg, fingerprint, cached)) return cached;
   }
 
-  runtime::ScopedTimer prep_timer(ctx != nullptr ? ctx->metrics : nullptr,
-                                  "pipeline.prepare_clients_seconds");
+  const metrics::WallTimer prep_timer;
   tensor::Rng root(cfg.seed);
   const std::vector<data::TimeSeries> clean_series =
       datagen::generate_clients(cfg.generator);
@@ -207,6 +206,9 @@ std::vector<ClientData> prepare_clients(const ExperimentConfig& cfg,
 
   if (!cfg.cache_dir.empty()) {
     store_cached_clients(cfg, fingerprint, clients);
+  }
+  if (ctx != nullptr) {
+    ctx->count("pipeline.prepare_clients_seconds", prep_timer.seconds());
   }
   return clients;
 }

@@ -20,6 +20,7 @@
 #include "fl/driver.hpp"
 #include "metrics/regression.hpp"
 #include "obs/round_telemetry.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "runtime/run_context.hpp"
 
@@ -72,8 +73,8 @@ class ScenarioRunner {
 
   /// The execution context shared by every stage this runner drives.
   const runtime::RunContext& context() const { return ctx_; }
-  /// Counters/timers accumulated by the runtime-aware stages.
-  const runtime::Metrics& runtime_metrics() const { return metrics_; }
+  /// Counters accumulated by the runtime-aware stages.
+  const obs::Registry& registry() const { return registry_; }
 
   /// Per-round telemetry accumulated by every federated run this runner
   /// drove (all scenarios append to the same sink).
@@ -107,7 +108,7 @@ class ScenarioRunner {
 
   ExperimentConfig cfg_;
   std::unique_ptr<runtime::ThreadPool> pool_;  // null when cfg.threads == 1
-  runtime::Metrics metrics_;
+  obs::Registry registry_;
   std::unique_ptr<obs::TraceWriter> trace_;    // null when cfg.trace_out empty
   obs::RoundTelemetrySink rounds_;
   runtime::RunContext ctx_;

@@ -36,10 +36,10 @@ std::size_t roundup(std::size_t n, std::size_t m) {
 }
 
 // ---------------------------------------------------------------------
-// Fast gate nonlinearities (wide-batch fp32 and all int8 scoring).
+// Fast gate nonlinearities (every score, fp32 and int8).
 //
 // At the paper shape the scalar expf/tanh gate math costs more than the
-// recurrent matmul itself, so the wide-batch tier evaluates tanh as a
+// recurrent matmul itself, so the engine evaluates tanh as a
 // clamped odd rational P13(x)/Q6(x) (the classic single-precision
 // minimax fit used by several inference runtimes; |err| is a few float
 // ulp across the clamp range) and sigmoid via the tanh half-angle
@@ -130,7 +130,7 @@ inline __m256 sigmoid_fast8(__m256 x) {
 /// segments of z (pre-activations), updates c and h in place.  One pass,
 /// no intermediate gate writes.  c = σ(f)·c + σ(i)·tanh(g);
 /// h = σ(o)·tanh(c).  When kTrackMax, also returns max|h| over the row —
-/// the int8 tier needs it to scale next step's activation quantization,
+/// the int8 path needs it to scale next step's activation quantization,
 /// and folding it here saves quantize_rows_u8 a full extra pass over h.
 template <bool kTrackMax>
 float fused_gates_cell(const float* zr, float* cs, float* hs, std::size_t h) {
@@ -174,9 +174,9 @@ float fused_gates_cell(const float* zr, float* cs, float* hs, std::size_t h) {
 }
 
 /// z[r][0..zstride) = b_pad + Σ_f x[r][f]·wx_pad[f] in a single pass —
-/// replaces the memset + bias-broadcast + input-matmul trio of the exact
-/// tier.  Padding columns are zero in b_pad/wx_pad, so the z padding is
-/// always a defined 0.
+/// replaces Lstm::forward's memset + bias-broadcast + input-matmul trio.
+/// Padding columns are zero in b_pad/wx_pad, so the z padding is always a
+/// defined 0.
 void fused_init_z(float* z, std::size_t zstride, std::size_t nb,
                   const float* xrow0, std::size_t xrow_stride, std::size_t in,
                   const std::vector<float>& b_pad,
@@ -203,8 +203,9 @@ void fused_init_z(float* z, std::size_t zstride, std::size_t nb,
 /// so a ~H·32-float weight panel stays L1-resident across every row of
 /// the batch (the naive row-major kernel re-streams the whole 4H·H
 /// kernel from L2 per row, which is what made it memory-bound).  Two
-/// rows share each weight load; per-column accumulation is ascending-k,
-/// so results are independent of the row partition.
+/// rows share each weight load; per-column accumulation is ascending-k in
+/// both the 2-row block and the 1-row tail, so results are independent of
+/// the row partition (a batch of 1 gets the same bits as a wide batch).
 void gemm_f32_panels(const float* hbuf, std::size_t h, float* z,
                      std::size_t zstride, std::size_t nb,
                      const std::vector<float>& panels) {
@@ -563,7 +564,6 @@ void Engine::freeze_into(Snapshot& snap, const std::vector<float>& flat) {
   snap.zstride = roundup(g4, kPanelF32);
   // Biases stay fp32 in both modes: they are O(params/50) bytes and
   // quantizing them buys nothing.
-  assign_mat(snap.b, 1, g4, b);
   assign_mat(snap.b1, 1, d, b1);
   assign_mat(snap.b2, 1, 1, b2);
   if (snap.quantized) {
@@ -575,11 +575,10 @@ void Engine::freeze_into(Snapshot& snap, const std::vector<float>& flat) {
     snap.wh = tensor::Matrix();
     snap.wh_panels.clear();
   } else {
-    assign_mat(snap.wx, in, g4, wx);
     assign_mat(snap.wh, h, g4, wh);
     assign_mat(snap.w1, h, d, w1);
     assign_mat(snap.w2, d, 1, w2);
-    // Packed panels for the register-blocked wide-batch GEMM
+    // Packed panels for the register-blocked recurrent GEMM
     // ([panel][k][32], zero-padded columns).
     snap.wh_panels.assign(snap.zstride * h, 0.0f);
     for (std::size_t p = 0; p < snap.zstride / kPanelF32; ++p) {
@@ -593,9 +592,9 @@ void Engine::freeze_into(Snapshot& snap, const std::vector<float>& flat) {
       }
     }
   }
-  // Padded bias / input kernel for the fused wide-batch z-init.  Under
-  // kInt8 these come from the round-tripped wx so the fast tier serves
-  // the same weights the snapshot advertises.
+  // Padded bias / input kernel for the fused z-init.  Under kInt8 the
+  // input kernel comes from the round-tripped wx so the engine serves the
+  // same weights the snapshot advertises.
   snap.b_pad.assign(snap.zstride, 0.0f);
   std::memcpy(snap.b_pad.data(), b, g4 * sizeof(float));
   snap.wx_pad.assign(in * snap.zstride, 0.0f);
@@ -659,11 +658,6 @@ void Engine::score_prefix(const tensor::Tensor3& x, std::size_t rows,
   EVFL_REQUIRE(x.time() > 0, "Engine::score needs time >= 1");
 
   metrics::WallTimer timer;
-  // Tier selection happens here, from the FULL batch size — batch-of-1
-  // fp32 runs the reference scalar path (bit-identical to predict), wide
-  // batches and int8 run the vectorized kernels.  Chunk sizes from
-  // parallel_for never re-enter this decision.
-  const bool exact = cfg_.precision == ServePrecision::kFp32 && batch == 1;
   const std::uint32_t slot = acquire_slot();
   const Snapshot& snap = slots_[slot];
   if (ctx != nullptr && ctx->parallel() && batch > 1) {
@@ -671,10 +665,10 @@ void Engine::score_prefix(const tensor::Tensor3& x, std::size_t rows,
     // partition is deterministic regardless of schedule.
     ctx->parallel_for(batch, ctx->grain_for(batch),
                       [&](std::size_t b0, std::size_t b1) {
-                        score_rows(snap, x, out, b0, b1, exact);
+                        score_rows(snap, x, out, b0, b1);
                       });
   } else {
-    score_rows(snap, x, out, 0, batch, exact);
+    score_rows(snap, x, out, 0, batch);
   }
   readers_[slot].fetch_sub(1, std::memory_order_release);
 
@@ -691,12 +685,11 @@ void Engine::score(const tensor::Tensor3& x, std::vector<float>& out,
 
 void Engine::score_rows(const Snapshot& snap, const tensor::Tensor3& x,
                         float* out, std::size_t row_begin,
-                        std::size_t row_end, bool exact) const {
+                        std::size_t row_end) const {
   const std::size_t nb = row_end - row_begin;
   const std::size_t h = model_.lstm_units;
   const std::size_t in = model_.input_features;
   const std::size_t d = model_.dense_units;
-  const std::size_t g4 = 4 * h;
   const std::size_t zstride = snap.zstride;
   const std::size_t t_len = x.time();
 
@@ -719,93 +712,32 @@ void Engine::score_rows(const Snapshot& snap, const tensor::Tensor3& x,
     hmax = scratch.borrow_zeroed(nb);  // max|h_0| = 0
   }
 
-  const MatView zv{z, nb, g4, zstride};
   const ConstMatView hv{hbuf, nb, h, h};
   const float* x0 = x.data() + row_begin * t_len * in;
 
-  if (exact) {
-    // Reference tier (fp32 batch-of-1): the exact op sequence of
-    // Lstm::forward (set_zero, add_row_broadcast, two accumulating
-    // matmuls on the same view kernels, scalar sigmoidf/tanh), so the
-    // output is bit-identical to training-path inference.
-    float* xt = scratch.borrow(nb * in);
-    float* ctbuf = scratch.borrow(nb * h);
-    const ConstMatView xtv{xt, nb, in, in};
-    const float* bptr = snap.b.data();
-    for (std::size_t t = 0; t < t_len; ++t) {
+  // One path for every batch size: fused z-init, register-blocked (or
+  // integer) recurrent GEMM, fused rational gates + cell update.  Each
+  // kernel handles rows independently, so a row's bits never depend on
+  // how many rows share the call.
+  for (std::size_t t = 0; t < t_len; ++t) {
+    fused_init_z(z, zstride, nb, x0 + t * in, t_len * in, in, snap.b_pad,
+                 snap.wx_pad);
+    if (snap.quantized) {
+      quantize_rows_u8(hbuf, h, nb, hmax, aq, ascale, snap.wh_q.padded_k);
+      gemm_u8s7(aq, snap.wh_q.padded_k, ascale, nb, snap.wh_q, z, zstride);
       for (std::size_t r = 0; r < nb; ++r) {
-        std::memcpy(xt + r * in, x0 + (r * t_len + t) * in,
-                    in * sizeof(float));
+        hmax[r] = fused_gates_cell<true>(z + r * zstride, cbuf + r * h,
+                                         hbuf + r * h, h);
       }
-      for (std::size_t r = 0; r < nb; ++r) {
-        std::memset(z + r * zstride, 0, g4 * sizeof(float));
-      }
-      for (std::size_t r = 0; r < nb; ++r) {
-        float* zrow = z + r * zstride;
-        for (std::size_t c = 0; c < g4; ++c) zrow[c] += bptr[c];
-      }
-      tensor::matmul_acc(xtv, snap.wx.view(), zv);
-      tensor::matmul_acc(hv, snap.wh.view(), zv);
-      for (std::size_t r = 0; r < nb; ++r) {
-        float* zrow = z + r * zstride;
-        for (std::size_t c = 0; c < 2 * h; ++c) {
-          zrow[c] = nn::sigmoidf(zrow[c]);
-        }
-        for (std::size_t c = 2 * h; c < 3 * h; ++c) {
-          zrow[c] = std::tanh(zrow[c]);
-        }
-        for (std::size_t c = 3 * h; c < 4 * h; ++c) {
-          zrow[c] = nn::sigmoidf(zrow[c]);
-        }
-      }
-      // c = f ⊙ c_prev + i ⊙ g ;  h = o ⊙ tanh(c)
-      for (std::size_t r = 0; r < nb; ++r) {
-        const float* zi = z + r * zstride;
-        const float* zf = zi + h;
-        const float* zg = zi + 2 * h;
-        float* cs = cbuf + r * h;
-        for (std::size_t c = 0; c < h; ++c) {
-          cs[c] = zf[c] * cs[c] + zi[c] * zg[c];
-        }
-      }
-      for (std::size_t r = 0; r < nb; ++r) {
-        const float* cs = cbuf + r * h;
-        float* ct = ctbuf + r * h;
-        for (std::size_t c = 0; c < h; ++c) ct[c] = std::tanh(cs[c]);
-      }
-      for (std::size_t r = 0; r < nb; ++r) {
-        const float* zo = z + r * zstride + 3 * h;
-        const float* ct = ctbuf + r * h;
-        float* hs = hbuf + r * h;
-        for (std::size_t c = 0; c < h; ++c) hs[c] = zo[c] * ct[c];
-      }
-    }
-  } else {
-    // Wide-batch tier: fused z-init, register-blocked (or integer)
-    // recurrent GEMM, fused rational gates + cell update.
-    for (std::size_t t = 0; t < t_len; ++t) {
-      fused_init_z(z, zstride, nb, x0 + t * in, t_len * in, in, snap.b_pad,
-                   snap.wx_pad);
-      if (snap.quantized) {
-        quantize_rows_u8(hbuf, h, nb, hmax, aq, ascale, snap.wh_q.padded_k);
-        gemm_u8s7(aq, snap.wh_q.padded_k, ascale, nb, snap.wh_q, z, zstride);
-      } else {
+    } else {
 #if defined(__AVX2__)
-        gemm_f32_panels(hbuf, h, z, zstride, nb, snap.wh_panels);
+      gemm_f32_panels(hbuf, h, z, zstride, nb, snap.wh_panels);
 #else
-        tensor::matmul_acc(hv, snap.wh.view(), zv);
+      tensor::matmul_acc(hv, snap.wh.view(), MatView{z, nb, 4 * h, zstride});
 #endif
-      }
-      if (snap.quantized) {
-        for (std::size_t r = 0; r < nb; ++r) {
-          hmax[r] = fused_gates_cell<true>(z + r * zstride, cbuf + r * h,
-                                           hbuf + r * h, h);
-        }
-      } else {
-        for (std::size_t r = 0; r < nb; ++r) {
-          fused_gates_cell<false>(z + r * zstride, cbuf + r * h, hbuf + r * h,
-                                  h);
-        }
+      for (std::size_t r = 0; r < nb; ++r) {
+        fused_gates_cell<false>(z + r * zstride, cbuf + r * h, hbuf + r * h,
+                                h);
       }
     }
   }

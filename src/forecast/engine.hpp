@@ -19,17 +19,15 @@
 //  - records batch latency (obs::Histogram p50/p99) and forecasts/sec
 //    counters into an optional obs::Registry.
 //
-// Determinism and precision tiers: a batch-of-1 fp32 score replicates
-// Lstm/Dense forward op-for-op on the same kernels — bit-identical to the
-// single-series Sequential::predict result.  Wide batches (and all int8
-// scoring) switch the gate nonlinearities to a vectorized rational
-// tanh/sigmoid (|err| ~1e-7, the dominant serving cost otherwise: scalar
-// expf/tanh are ~60% of forward time at the paper shape), so a wide-batch
-// row agrees with predict to ~1e-5 rather than bitwise.  Both tiers are
-// individually deterministic: a row's result depends only on its own data
-// and the tier, never on batch composition or thread schedule (rows are
-// independent; output order is index order; serial == pool-parallel
-// bitwise within a tier).
+// Determinism: one kernel path per precision, for every batch size.  fp32
+// runs fused z-init, the packed-panel recurrent GEMM and a vectorized
+// rational tanh/sigmoid (|err| ~1e-7; scalar expf/tanh would be ~60% of
+// forward time at the paper shape); int8 runs the u8×s7 integer kernel
+// with the same gates.  A row therefore agrees with the training-path
+// Sequential::predict to ~1e-5, not bitwise.  A row's result depends only
+// on its own data and the precision — never on batch size or composition
+// (a batch of 1 included) or thread schedule: rows are independent,
+// output order is index order, and serial == pool-parallel bitwise.
 #pragma once
 
 #include <atomic>
@@ -136,8 +134,8 @@ class Engine {
   /// streaming caller keeps one warm max_batch staging tensor and fills
   /// however many zone windows became ready this flush, so scoring a
   /// partial batch must not require reshaping (and reallocating) the
-  /// staging buffer.  Tier selection sees `rows` as the batch size, so a
-  /// one-row prefix runs the exact fp32 tier just like a one-row tensor.
+  /// staging buffer.  Every prefix length runs the same kernels, so a
+  /// row's score is the same bits whatever `rows` is.
   void score_prefix(const tensor::Tensor3& x, std::size_t rows, float* out,
                     const runtime::RunContext* ctx = nullptr);
 
@@ -149,14 +147,15 @@ class Engine {
   /// recurrent kernel wh, which stays quantized under kInt8 (wx/w1/w2 are
   /// round-tripped through the int8 grid at freeze time, then dequantized
   /// — they are <10% of the parameters, so fp32 compute there costs
-  /// nothing while keeping one code path).  The wide-batch tier reads the
-  /// packed views: b_pad/wx_pad are the bias and input kernel zero-padded
-  /// to the padded gate stride (zstride = 4H rounded up to 32) so the
-  /// fused z-init writes whole padded rows, and wh_panels repacks wh into
+  /// nothing while keeping one code path).  Scoring reads the packed
+  /// views: b_pad/wx_pad are the bias and input kernel zero-padded to the
+  /// padded gate stride (zstride = 4H rounded up to 32) so the fused
+  /// z-init writes whole padded rows, and wh_panels repacks wh into
   /// L1-resident 32-column panels ([panel][k][32]) so the register-blocked
   /// GEMM streams contiguous weights for every row of the batch.
   struct Snapshot {
-    tensor::Matrix wx, wh, b;   // lstm (wh empty under kInt8)
+    tensor::Matrix wx;          // int8 round-trip source of wx_pad (kInt8)
+    tensor::Matrix wh;          // non-AVX2 fallback kernel (fp32 only)
     tensor::Matrix w1, b1;      // dense(relu)
     tensor::Matrix w2, b2;      // dense(linear)
     std::vector<float> b_pad;      // [zstride]
@@ -171,13 +170,8 @@ class Engine {
   void quant_roundtrip(tensor::Matrix& m, std::size_t rows, std::size_t cols,
                        const float* src);
   std::uint32_t acquire_slot();
-  /// `exact` selects the reference scalar gate path (batch-of-1 fp32
-  /// bit-identity contract); it is decided once per score() call from the
-  /// FULL batch size, never per row chunk, so serial and pool-parallel
-  /// partitions always run the same tier.
   void score_rows(const Snapshot& snap, const tensor::Tensor3& x, float* out,
-                  std::size_t row_begin, std::size_t row_end,
-                  bool exact) const;
+                  std::size_t row_begin, std::size_t row_end) const;
 
   ForecasterConfig model_;
   EngineConfig cfg_;

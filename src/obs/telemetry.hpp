@@ -1,5 +1,6 @@
-// evfl::obs telemetry primitives — the structured counterpart to the flat
-// runtime::Metrics name→double map.
+// evfl::obs telemetry primitives — the one metrics surface: stages count
+// into a Registry through runtime::RunContext::count(), and subsystems
+// (engine, stream) resolve their instruments from it once.
 //
 //   Counter   — monotonically accumulating double (thread-safe add).
 //   Gauge     — last-write-wins double (thread-safe set).
@@ -97,6 +98,9 @@ class Registry {
   /// Histogram construction parameters apply on first use of the name.
   Histogram& histogram(const std::string& name, double lowest = 1e-6,
                        double highest = 1e4);
+
+  /// Name → current value of every counter created so far.
+  std::map<std::string, double> counter_values() const;
 
   /// `{"counters":{...},"gauges":{...},"histograms":{...}}`
   void write_json(std::ostream& os) const;

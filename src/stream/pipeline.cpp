@@ -16,11 +16,9 @@ std::vector<float> batch_scores(forecast::Engine& engine,
   EVFL_REQUIRE(series.size() > lookback,
                "batch_scores: series no longer than the lookback");
   const std::size_t max_batch = engine.config().max_batch;
-  EVFL_REQUIRE(max_batch >= 2, "batch_scores: engine max_batch must be >= 2");
 
   const std::size_t n = series.size() - lookback;
-  tensor::Tensor3 x(std::max<std::size_t>(2, std::min(n, max_batch)), lookback,
-                    1);
+  tensor::Tensor3 x(std::min(n, max_batch), lookback, 1);
   std::vector<float> forecasts(x.batch(), 0.0f);
   std::vector<float> out(n, 0.0f);
 
@@ -32,13 +30,7 @@ std::vector<float> batch_scores(forecast::Engine& engine,
       const float* src = series.data() + done + r;
       std::copy(src, src + lookback, dst);
     }
-    // Same wide-tier rule as the stream: never score a 1-row batch.
-    std::size_t score_rows = rows;
-    if (rows == 1) {
-      x.copy_sample_into(0, x, 1);
-      score_rows = 2;
-    }
-    engine.score_prefix(x, score_rows, forecasts.data(), ctx);
+    engine.score_prefix(x, rows, forecasts.data(), ctx);
     for (std::size_t r = 0; r < rows; ++r) {
       const float err = forecasts[r] - series[done + r + lookback];
       out[done + r] = err * err;

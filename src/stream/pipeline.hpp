@@ -10,13 +10,11 @@
 // from the same parts; this header holds its per-zone configuration and
 // the batch scorer it is pinned against.
 //
-// Determinism: the engine's exact tier applies only to fp32 batches of
-// exactly 1, so a round that happens to have one ready zone would score on
-// a different tier than a multi-zone round and batch scoring.  The stream
-// therefore pads 1-row rounds to 2 rows (row 0 duplicated, second output
-// ignored) so every streamed score is a wide-tier score, and batch_scores()
-// applies the same rule — a frozen-threshold stream replay of a series is
-// bit-identical to the batch detector (tests/test_stream.cpp pins this).
+// Determinism: the engine runs the same kernels for every batch size and
+// a row's score depends on that row alone, so a round with one ready zone
+// scores exactly like a wide round or a batch_scores() chunk — a
+// frozen-threshold stream replay of a series is bit-identical to the batch
+// detector (tests/test_stream.cpp pins this).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +29,7 @@ namespace evfl::stream {
 /// Per-zone semantics and sizing of the stream pipeline.
 struct StreamConfig {
   /// Upper bound on add_zone() calls across all shards; sizes the staging
-  /// tensor (the engine must accept batches of max(2, max_zones)).
+  /// tensor (the engine must accept batches of max_zones).
   std::size_t max_zones = 16;
   /// Threshold rule every zone's incremental estimator runs.
   anomaly::ThresholdRule threshold{};
@@ -61,10 +59,10 @@ struct StreamConfig {
 
 /// Score every complete window of an already-scaled series the way the
 /// stream does: out[i] = (forecast(window starting at i) - series[i +
-/// lookback])², batched through the engine with the same pad-to-2 rule, so
-/// every score is a wide-tier score.  A frozen-threshold stream replay of
-/// `series` flags exactly the samples whose batch_scores() entry exceeds
-/// the threshold.  Returns series.size() - lookback scores.
+/// lookback])², batched through the engine in chunks of up to max_batch
+/// rows.  A frozen-threshold stream replay of `series` flags exactly the
+/// samples whose batch_scores() entry exceeds the threshold.  Returns
+/// series.size() - lookback scores.
 std::vector<float> batch_scores(forecast::Engine& engine,
                                 const std::vector<float>& series,
                                 const runtime::RunContext* ctx = nullptr);

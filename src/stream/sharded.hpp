@@ -15,12 +15,11 @@
 //     the control thread drives cadence;
 //   - flush() fans in: every shard stages its ready rows into its own
 //     region of a staging tensor, the control thread compacts those
-//     regions into one contiguous prefix and makes a single wide
+//     regions into one contiguous prefix and makes a single
 //     forecast::Engine::score() call for ALL shards' rows — engine batch
 //     efficiency scales with total zones, not per-shard zones — then
 //     shards scatter their scores back through apply_forecast() in
-//     parallel.  The 1-row-pad-to-2 engine rule (pipeline.hpp) is applied
-//     once to the merged batch, never per shard or per zone;
+//     parallel;
 //   - events fan in to one event ring (the same MpscRing type) in shard
 //     order (shard 0's zones first), so consumer-visible order is
 //     deterministic; a stalled consumer costs bounded memory and a counted
@@ -29,11 +28,11 @@
 // Determinism contract: per-zone outputs (scores, flags, events,
 // thresholds) are bit-identical regardless of shard count, flush cadence
 // or producer interleaving, and — frozen — bit-identical to
-// batch_scores().  The argument: every staged row runs the engine's wide
-// tier (pad-to-2), whose per-row results are independent of batch
-// composition (pinned by the engine's own tests); zone state is touched
-// only by its owning shard in the zone's sample order; and per-zone sample
-// order is whatever the producers delivered — identical interleavings give
+// batch_scores().  The argument: the engine's per-row results are
+// independent of batch size and composition, a 1-row round included
+// (pinned by the engine's own tests); zone state is touched only by its
+// owning shard in the zone's sample order; and per-zone sample order is
+// whatever the producers delivered — identical interleavings give
 // identical results, and a single producer per zone (the common collector
 // topology) makes the whole pipeline deterministic end to end
 // (tests/test_sharded.cpp pins 1/2/4/8-shard equality, frozen and
@@ -81,7 +80,7 @@ struct ShardedConfig {
 class ShardedPipeline {
  public:
   /// The engine must outlive the pipeline and accept batches of
-  /// max(2, cfg.stream.max_zones).  `registry` (optional) receives
+  /// cfg.stream.max_zones.  `registry` (optional) receives
   /// stream.queue_depth / stream.events_dropped gauges,
   /// stream.samples_total / events_total / not_ready_total / gaps_total /
   /// reseeds_total / ingest_dropped counters and a stream.flush_seconds

@@ -43,21 +43,37 @@ Tensor3 random_batch(std::size_t n, std::size_t t, std::size_t f,
   return x;
 }
 
-TEST(Engine, BatchOfOneBitIdenticalToPredict) {
+TEST(Engine, BatchOfOneBitIdenticalToWideRows) {
   const ForecasterConfig cfg = small_config();
   Rng rng(7);
   nn::Sequential model = make_forecaster(cfg, rng);
 
-  Engine engine(cfg);
-  engine.publish(model.get_weights());
+  const std::size_t wide = 17;  // odd size: exercises kernel tails
+  const Tensor3 x =
+      random_batch(wide, cfg.sequence_length, cfg.input_features, 100);
+  for (const ServePrecision precision :
+       {ServePrecision::kFp32, ServePrecision::kInt8}) {
+    EngineConfig ecfg;
+    ecfg.precision = precision;
+    Engine engine(cfg, ecfg);
+    engine.publish(model.get_weights());
 
-  for (std::uint64_t s = 0; s < 4; ++s) {
-    const Tensor3 x = random_batch(1, cfg.sequence_length,
-                                   cfg.input_features, 100 + s);
-    const Tensor3 want = model.predict(x);
-    float got = 0.0f;
-    engine.score(x, &got);
-    EXPECT_EQ(got, want(0, 0, 0));  // bit-identical, not just close
+    std::vector<float> all;
+    engine.score(x, all);
+    for (std::size_t i = 0; i + 1 < wide; ++i) {
+      float one = 0.0f;
+      engine.score(x.batch_slice(i, i + 1), &one);
+      std::vector<float> pair;
+      engine.score(x.batch_slice(i, i + 2), pair);
+      // A 1-row call runs the same kernels as a wide one: same bits as the
+      // row inside a 2-row and a 17-row batch, not merely close.
+      EXPECT_EQ(one, pair[0]) << to_string(precision) << " row " << i;
+      EXPECT_EQ(one, all[i]) << to_string(precision) << " row " << i;
+      if (precision == ServePrecision::kFp32) {
+        const Tensor3 want = model.predict(x.batch_slice(i, i + 1));
+        EXPECT_NEAR(one, want(0, 0, 0), 1e-4) << "row " << i;
+      }
+    }
   }
 }
 
@@ -76,9 +92,8 @@ TEST(Engine, WideBatchRowsTrackPredictClosely) {
   engine.score(x, got);
   ASSERT_EQ(got.size(), batch);
 
-  // Wide batches run the vectorized rational gates, so rows agree with
-  // the reference predict path to ~1e-5, not bitwise (that contract is
-  // batch-of-1 only — see BatchOfOneBitIdenticalToPredict).
+  // The engine runs vectorized rational gates, so rows agree with the
+  // training-path predict to ~1e-5, not bitwise.
   for (std::size_t i = 0; i < batch; ++i) {
     const Tensor3 xi = x.batch_slice(i, i + 1);
     const Tensor3 want = model.predict(xi);
@@ -91,22 +106,35 @@ TEST(Engine, RowResultsIndependentOfBatchComposition) {
   Rng rng(8);
   nn::Sequential model = make_forecaster(cfg, rng);
 
-  Engine engine(cfg);
-  engine.publish(model.get_weights());
-
   const std::size_t batch = 17;
   const Tensor3 x =
       random_batch(batch, cfg.sequence_length, cfg.input_features, 9);
-  std::vector<float> whole;
-  engine.score(x, whole);
+  for (const ServePrecision precision :
+       {ServePrecision::kFp32, ServePrecision::kInt8}) {
+    EngineConfig ecfg;
+    ecfg.precision = precision;
+    Engine engine(cfg, ecfg);
+    engine.publish(model.get_weights());
 
-  // Scoring the same rows in two wide sub-batches must give the same bits:
-  // within a tier a row's result depends only on its own data.
-  std::vector<float> front, back;
-  engine.score(x.batch_slice(0, 9), front);
-  engine.score(x.batch_slice(9, batch), back);
-  for (std::size_t i = 0; i < 9; ++i) EXPECT_EQ(whole[i], front[i]);
-  for (std::size_t i = 9; i < batch; ++i) EXPECT_EQ(whole[i], back[i - 9]);
+    std::vector<float> whole;
+    engine.score(x, whole);
+
+    // Scoring the same rows in sub-batches — 9 + 8, and a 1-row slice
+    // followed by 16 — must give the same bits: a row's result depends
+    // only on its own data.
+    for (const std::size_t cut : {std::size_t{9}, std::size_t{1}}) {
+      std::vector<float> front, back;
+      engine.score(x.batch_slice(0, cut), front);
+      engine.score(x.batch_slice(cut, batch), back);
+      for (std::size_t i = 0; i < cut; ++i) {
+        EXPECT_EQ(whole[i], front[i]) << to_string(precision) << " cut " << cut;
+      }
+      for (std::size_t i = cut; i < batch; ++i) {
+        EXPECT_EQ(whole[i], back[i - cut])
+            << to_string(precision) << " cut " << cut;
+      }
+    }
+  }
 }
 
 TEST(Engine, PoolParallelBitIdenticalToSerial) {

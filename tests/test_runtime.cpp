@@ -7,8 +7,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "core/pipeline.hpp"
@@ -19,6 +21,7 @@
 #include "nn/lstm.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/trainer.hpp"
+#include "obs/telemetry.hpp"
 #include "runtime/workspace.hpp"
 #include "tensor/init.hpp"
 #include "tensor/linalg.hpp"
@@ -96,13 +99,15 @@ TEST(RunContext, SerialDefaultAndGrainFloor) {
 
 TEST(RunContext, MetricsAccumulateThreadSafely) {
   ThreadPool pool(4);
-  Metrics metrics;
-  RunContext ctx{&pool, &metrics};
+  obs::Registry registry;
+  RunContext ctx{&pool, &registry};
   ctx.parallel_for(100, 1, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) ctx.count("ticks");
   });
-  EXPECT_DOUBLE_EQ(metrics.value("ticks"), 100.0);
-  EXPECT_DOUBLE_EQ(metrics.value("never_touched"), 0.0);
+  const std::map<std::string, double> counters = registry.counter_values();
+  EXPECT_EQ(counters.size(), 1u);  // only counted names exist
+  EXPECT_DOUBLE_EQ(counters.at("ticks"), 100.0);
+  EXPECT_DOUBLE_EQ(registry.counter("ticks").value(), 100.0);
 }
 
 TEST(RunContext, SplitRngsMatchesSequentialSplits) {
@@ -652,8 +657,8 @@ TEST(PipelineDeterminism, ParallelPrepareClientsBitIdenticalToSerial) {
   const std::vector<core::ClientData> serial = core::prepare_clients(cfg);
 
   ThreadPool pool(4);
-  Metrics metrics;
-  RunContext ctx{&pool, &metrics};
+  obs::Registry registry;
+  RunContext ctx{&pool, &registry};
   const std::vector<core::ClientData> parallel =
       core::prepare_clients(cfg, &ctx);
 
@@ -672,7 +677,8 @@ TEST(PipelineDeterminism, ParallelPrepareClientsBitIdenticalToSerial) {
     EXPECT_EQ(s.injection.points_attacked, p.injection.points_attacked);
     EXPECT_EQ(s.injection.bursts, p.injection.bursts);
   }
-  EXPECT_GE(metrics.value("pipeline.parallel_client_preps"), 1.0);
+  EXPECT_GE(registry.counter("pipeline.parallel_client_preps").value(), 1.0);
+  EXPECT_GT(registry.counter("pipeline.prepare_clients_seconds").value(), 0.0);
 }
 
 // ---- drivers ----------------------------------------------------------------

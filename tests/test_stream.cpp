@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -126,14 +127,33 @@ ShardedConfig one_shard(std::size_t max_zones) {
 struct EngineFixture {
   ForecasterConfig model = small_config();
   Engine engine;
+  std::vector<float> weights;
 
   explicit EngineFixture(std::uint64_t seed = 7)
       : engine(model) {
     tensor::Rng rng(seed);
     nn::Sequential net = forecast::make_forecaster(model, rng);
-    engine.publish(net.get_weights());
+    weights = net.get_weights();
+    engine.publish(weights);
   }
 };
+
+/// batch_scores() computed one window per engine call: the reference every
+/// batching of the same series must reproduce bit for bit.
+std::vector<float> per_row_scores(Engine& engine,
+                                  const std::vector<float>& series) {
+  const std::size_t lookback = engine.model_config().sequence_length;
+  tensor::Tensor3 x(1, lookback, 1);
+  std::vector<float> out;
+  for (std::size_t i = 0; i + lookback < series.size(); ++i) {
+    std::copy(series.begin() + i, series.begin() + i + lookback, x.data());
+    float forecast = 0.0f;
+    engine.score(x, &forecast);
+    const float err = forecast - series[i + lookback];
+    out.push_back(err * err);
+  }
+  return out;
+}
 
 // ---- Streaming vs batch equivalence ----------------------------------------
 
@@ -188,8 +208,8 @@ TEST(StreamPipeline, FrozenThresholdBitIdenticalToBatch) {
   std::set<std::pair<std::uint32_t, std::uint64_t>> stream_set;
   for (const AnomalyEvent& ev : events) {
     stream_set.insert({ev.zone, ev.t});
-    // Same window, same wide engine tier: the streamed score must carry
-    // the exact bits of the batch score, not merely be close.
+    // Same window, same engine kernels: the streamed score must carry the
+    // exact bits of the batch score, not merely be close.
     ASSERT_GE(ev.t, lookback);
     EXPECT_EQ(ev.score, expected[ev.zone][ev.t - lookback]);
     EXPECT_EQ(ev.repaired, ev.value);  // repair disabled
@@ -205,34 +225,51 @@ TEST(StreamPipeline, FrozenThresholdBitIdenticalToBatch) {
 }
 
 TEST(StreamPipeline, SingleZoneStillMatchesBatch) {
-  // One zone -> every round is a 1-row batch, the shape that must be padded
-  // onto the wide tier to keep bit-equality with batch scoring.
+  // One zone -> every round is a 1-row engine call.  Nothing is padded: a
+  // 1-row call runs the same kernels as a wide one, so the stream and
+  // batch_scores() carry the per-row scores' exact bits on every engine —
+  // the default one, one whose max_batch is 1, and one that leaves
+  // batch_scores() a single-row last chunk.
   EngineFixture fx;
   const std::size_t lookback = fx.model.sequence_length;
   const std::size_t n = 60;
   const std::vector<float> series = make_series(n, 5);
-  const std::vector<float> expected = batch_scores(fx.engine, series);
+  const std::vector<float> expected = per_row_scores(fx.engine, series);
 
-  ShardedConfig cfg = one_shard(1);
-  cfg.stream.repair_inputs = false;
-  ShardedPipeline pipe(fx.engine, cfg);
-  pipe.add_zone(identity_scaler());
-  pipe.freeze_threshold(0, anomaly::percentile(expected, 85.0));
+  forecast::EngineConfig one_row;
+  one_row.max_batch = 1;
+  Engine narrow(fx.model, one_row);
+  narrow.publish(fx.weights);
+  forecast::EngineConfig tail_row;
+  tail_row.max_batch = n - lookback - 1;  // chunks: max_batch rows, then 1
+  Engine tail(fx.model, tail_row);
+  tail.publish(fx.weights);
 
-  for (std::size_t t = 0; t < n; ++t) {
-    pipe.ingest(0, t, series[t]);
-    if ((t + 1) % 7 == 0) pipe.flush();  // odd cadence: mid-series cuts
-  }
-  pipe.flush();
+  for (Engine* engine : {&fx.engine, &narrow, &tail}) {
+    ASSERT_EQ(batch_scores(*engine, series), expected)
+        << "max_batch " << engine->config().max_batch;
 
-  std::vector<AnomalyEvent> events;
-  pipe.drain(events);
-  const float thr = pipe.threshold(0);
-  std::size_t batch_flagged = 0;
-  for (float s : expected) batch_flagged += (s > thr);
-  ASSERT_EQ(events.size(), batch_flagged);
-  for (const AnomalyEvent& ev : events) {
-    EXPECT_EQ(ev.score, expected[ev.t - lookback]);
+    ShardedConfig cfg = one_shard(1);
+    cfg.stream.repair_inputs = false;
+    ShardedPipeline pipe(*engine, cfg);
+    pipe.add_zone(identity_scaler());
+    pipe.freeze_threshold(0, anomaly::percentile(expected, 85.0));
+
+    for (std::size_t t = 0; t < n; ++t) {
+      pipe.ingest(0, t, series[t]);
+      if ((t + 1) % 7 == 0) pipe.flush();  // odd cadence: mid-series cuts
+    }
+    pipe.flush();
+
+    std::vector<AnomalyEvent> events;
+    pipe.drain(events);
+    const float thr = pipe.threshold(0);
+    std::size_t batch_flagged = 0;
+    for (float s : expected) batch_flagged += (s > thr);
+    ASSERT_EQ(events.size(), batch_flagged);
+    for (const AnomalyEvent& ev : events) {
+      EXPECT_EQ(ev.score, expected[ev.t - lookback]);
+    }
   }
 }
 
