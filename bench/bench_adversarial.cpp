@@ -16,7 +16,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -25,6 +24,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/config.hpp"
 #include "fl/adversary.hpp"
 #include "fl/driver.hpp"
 #include "metrics/regression.hpp"
@@ -290,12 +290,13 @@ int run_check_allocs() {
 
 int main(int argc, char** argv) {
   std::cout << std::unitbuf;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-allocs") == 0) return run_check_allocs();
-    std::cerr << "unknown option: " << argv[i]
+  const bool check_allocs = core::take_flag(argc, argv, "--check-allocs");
+  if (argc > 1) {
+    std::cerr << "argument error: unknown option: " << argv[1]
               << " (expected --check-allocs)\n";
     return 2;
   }
+  if (check_allocs) return run_check_allocs();
 
   const std::vector<fl::AttackKind> attacks = {
       fl::AttackKind::kSignFlip, fl::AttackKind::kAlie,

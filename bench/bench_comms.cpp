@@ -18,7 +18,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <new>
@@ -26,6 +25,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/config.hpp"
 #include "core/scenario_runner.hpp"
 #include "fl/codec.hpp"
 #include "fl/serialize.hpp"
@@ -296,25 +296,12 @@ void write_json(std::size_t forecaster_dim,
 
 int main(int argc, char** argv) {
   std::cout << std::unitbuf;
-  bool check_allocs = false;
-  // Strip the bench's own bare flags before the shared override parser sees
-  // the argv (it rejects unknown keys by design).
-  std::vector<char*> filtered;
-  filtered.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-allocs") == 0) {
-      check_allocs = true;
-    } else {
-      filtered.push_back(argv[i]);
-    }
-  }
-
+  const bool check_allocs = core::take_flag(argc, argv, "--check-allocs");
   core::ExperimentConfig cfg;
   cfg.threads = 0;  // pool sized to the machine; override with --threads N
   cfg.cache_dir = "bench_cache";  // both arms share one pipeline pass
   try {
-    core::apply_cli_overrides(cfg, static_cast<int>(filtered.size()),
-                              filtered.data());
+    core::apply_cli_overrides(cfg, argc, argv);
   } catch (const Error& e) {
     std::cerr << "argument error: " << e.what() << "\n";
     return 2;

@@ -157,14 +157,14 @@ int main(int argc, char** argv) {
 
   std::string trace_out = data::artifact_path("faults_trace.jsonl");
   std::string metrics_json = data::artifact_path("faults_metrics.json");
-  for (int i = 1; i + 1 < argc; i += 2) {
+  for (int i = 1; i < argc; i += 2) {
     const std::string key = argv[i];
-    if (key == "--trace-out") {
+    if (i + 1 < argc && key == "--trace-out") {
       trace_out = argv[i + 1];
-    } else if (key == "--metrics-json") {
+    } else if (i + 1 < argc && key == "--metrics-json") {
       metrics_json = argv[i + 1];
     } else {
-      std::cerr << "unknown option: " << key
+      std::cerr << "argument error: bad option: " << key
                 << " (expected --trace-out FILE or --metrics-json FILE)\n";
       return 2;
     }

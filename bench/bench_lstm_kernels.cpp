@@ -10,12 +10,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <iostream>
 #include <memory>
 #include <new>
 #include <string>
 
+#include "core/config.hpp"
 #include "data/csv.hpp"
 #include "metrics/timer.hpp"
 #include "obs/telemetry.hpp"
@@ -182,9 +183,11 @@ void write_json(const StepStats& kernel, const StepStats& train) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool check_allocs = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-allocs") == 0) check_allocs = true;
+  const bool check_allocs = core::take_flag(argc, argv, "--check-allocs");
+  if (argc > 1) {
+    std::cerr << "argument error: unknown option: " << argv[1]
+              << " (expected --check-allocs)\n";
+    return 2;
   }
 
   const std::size_t warmup = check_allocs ? 3 : 10;

@@ -264,8 +264,11 @@ void run_runtime_comparison() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::Initialize(&argc, argv);  // consumes the --benchmark_* flags
+  if (argc > 1) {
+    std::cerr << "argument error: unknown option: " << argv[1] << "\n";
+    return 2;
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   run_runtime_comparison();

@@ -22,7 +22,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <new>
@@ -241,22 +240,11 @@ void write_json(const std::vector<ScalePoint>& sweep, std::size_t threads) {
 
 int main(int argc, char** argv) {
   std::cout << std::unitbuf;
-  bool check_allocs = false;
-  std::vector<char*> filtered;
-  filtered.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-allocs") == 0) {
-      check_allocs = true;
-    } else {
-      filtered.push_back(argv[i]);
-    }
-  }
-
+  const bool check_allocs = core::take_flag(argc, argv, "--check-allocs");
   core::ExperimentConfig cfg;
   cfg.threads = 0;  // pool sized to the machine; override with --threads N
   try {
-    core::apply_cli_overrides(cfg, static_cast<int>(filtered.size()),
-                              filtered.data());
+    core::apply_cli_overrides(cfg, argc, argv);
   } catch (const Error& e) {
     std::cerr << "argument error: " << e.what() << "\n";
     return 2;

@@ -18,12 +18,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <iostream>
 #include <new>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/config.hpp"
 #include "data/csv.hpp"
 #include "data/window.hpp"
@@ -153,19 +154,14 @@ void json_entry(std::ofstream& out, const char* name, const BatchStats& s,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool check_allocs = false;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-allocs") == 0) {
-      check_allocs = true;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
+  const bool check_allocs = core::take_flag(argc, argv, "--check-allocs");
   core::ExperimentConfig cfg;
-  core::apply_cli_overrides(cfg, static_cast<int>(passthrough.size()),
-                            passthrough.data());
+  try {
+    core::apply_cli_overrides(cfg, argc, argv);
+  } catch (const Error& e) {
+    std::cerr << "argument error: " << e.what() << "\n";
+    return 2;
+  }
 
   const std::size_t batch = cfg.serve_batch;
   const forecast::ForecasterConfig& model_cfg = cfg.forecaster;

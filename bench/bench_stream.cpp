@@ -43,8 +43,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <iostream>
 #include <new>
 #include <set>
 #include <string>
@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "anomaly/threshold.hpp"
+#include "common/error.hpp"
 #include "core/config.hpp"
 #include "core/pipeline.hpp"
 #include "data/csv.hpp"
@@ -188,19 +189,14 @@ std::size_t equivalence_mismatches(
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool check_allocs = false;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-allocs") == 0) {
-      check_allocs = true;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
+  const bool check_allocs = core::take_flag(argc, argv, "--check-allocs");
   core::ExperimentConfig cfg;
-  core::apply_cli_overrides(cfg, static_cast<int>(passthrough.size()),
-                            passthrough.data());
+  try {
+    core::apply_cli_overrides(cfg, argc, argv);
+  } catch (const Error& e) {
+    std::cerr << "argument error: " << e.what() << "\n";
+    return 2;
+  }
 
   const forecast::ForecasterConfig& model_cfg = cfg.forecaster;
   const std::size_t lookback = model_cfg.sequence_length;

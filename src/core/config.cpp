@@ -69,8 +69,10 @@ void apply_cli_overrides(ExperimentConfig& cfg, int argc, char** argv) {
     } else if (key == "--bursts") {
       cfg.ddos.bursts = parse_unsigned(key, value);
     } else if (key == "--threshold-pct") {
+      // Parse before assigning: a rejected value must not half-apply.
+      const double pct = parse_double(key, value);
       cfg.filter.threshold.kind = anomaly::ThresholdKind::kPercentile;
-      cfg.filter.threshold.param = parse_double(key, value);
+      cfg.filter.threshold.param = pct;
     } else if (key == "--gap-tolerance") {
       cfg.filter.gap_tolerance = parse_unsigned(key, value);
     } else if (key == "--train-fraction") {
@@ -181,6 +183,17 @@ void apply_cli_overrides(ExperimentConfig& cfg, int argc, char** argv) {
   if (argc >= 2 && (argc - 1) % 2 != 0) {
     throw Error("options must come in --key value pairs");
   }
+}
+
+bool take_flag(int& argc, char** argv, const char* flag) {
+  const std::string wanted = flag;
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (wanted != argv[i]) argv[kept++] = argv[i];
+  }
+  const bool found = kept != argc;
+  argc = kept;
+  return found;
 }
 
 std::string describe(const ExperimentConfig& cfg) {

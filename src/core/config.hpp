@@ -108,6 +108,12 @@ struct ExperimentConfig {
 /// "1.5abc" is an error, never a silent prefix parse.
 void apply_cli_overrides(ExperimentConfig& cfg, int argc, char** argv);
 
+/// Remove every occurrence of the bare switch `flag` (one that takes no
+/// value, such as "--check-allocs") from argv, compacting it in place, and
+/// report whether it was there.  Benches call it before
+/// apply_cli_overrides, which rejects keys it does not know.
+bool take_flag(int& argc, char** argv, const char* flag);
+
 /// One-line render of the headline parameters (for bench banners).
 std::string describe(const ExperimentConfig& cfg);
 

@@ -123,13 +123,13 @@ ScenarioResult ScenarioRunner::run_federated(DataScenario scenario) {
                          static_cast<std::uint64_t>(fl_clients.size()));
   std::unique_ptr<fl::Driver> driver;
   if (cfg_.threaded) {
-    driver = std::make_unique<fl::ThreadedDriver>(server, fl_clients, net,
-                                                  nullptr, &ctx_, &rounds_,
-                                                  adv);
+    driver = std::make_unique<fl::ThreadedDriver>(
+        server, fl_clients, net, &ctx_, nullptr, fl::RoundPolicy{}, &rounds_,
+        adv);
   } else {
-    driver = std::make_unique<fl::SyncDriver>(server, fl_clients, net, &ctx_,
-                                              nullptr, fl::RoundPolicy{},
-                                              &rounds_, adv);
+    driver = std::make_unique<fl::SyncDriver>(
+        server, fl_clients, net, &ctx_, nullptr, fl::RoundPolicy{}, &rounds_,
+        adv);
   }
   const fl::FederatedRunResult run = driver->run(cfg_.federated_rounds);
   scenario_span.end();

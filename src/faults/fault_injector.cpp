@@ -3,25 +3,19 @@
 #include <cmath>
 #include <limits>
 
+#include "common/hash.hpp"
+
 namespace evfl::faults {
 
 namespace {
 
-// splitmix64 finalizer: cheap, well-mixed, and stateless — the right shape
-// for schedule-independent per-(rule, client, round) decisions.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t decision_hash(std::uint64_t seed, std::size_t rule_index,
                             int client, std::uint32_t round) {
-  std::uint64_t h = mix64(seed ^ 0xA5A5A5A5A5A5A5A5ull);
-  h = mix64(h ^ static_cast<std::uint64_t>(rule_index));
-  h = mix64(h ^ static_cast<std::uint64_t>(static_cast<std::int64_t>(client)));
-  h = mix64(h ^ static_cast<std::uint64_t>(round));
+  std::uint64_t h = splitmix64(seed ^ 0xA5A5A5A5A5A5A5A5ull);
+  h = splitmix64(h ^ static_cast<std::uint64_t>(rule_index));
+  h = splitmix64(h ^
+                 static_cast<std::uint64_t>(static_cast<std::int64_t>(client)));
+  h = splitmix64(h ^ static_cast<std::uint64_t>(round));
   return h;
 }
 

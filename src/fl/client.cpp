@@ -73,14 +73,27 @@ const std::vector<std::uint8_t>& Client::encode_update(
   return wire_buf_;
 }
 
+RoundLeg Client::run_leg(const GlobalModel& global, const RoundHooks& hooks) {
+  obs::TraceSpan train_span(hooks.trace, "fl.client_train", "fl");
+  train_span.annotate("client", static_cast<std::uint64_t>(id_));
+  train_span.annotate("round", static_cast<std::uint64_t>(global.round));
+  RoundLeg leg{train_round(global), 0.0};
+  train_span.end();
+  // An attacker client poisons its own update before anything else touches
+  // it — upstream of scripted corruption and of encoding, exactly where a
+  // compromised client controls the pipeline.
+  if (hooks.adversary != nullptr) {
+    hooks.adversary->poison_update(leg.update, global.weights);
+  }
+  if (hooks.injector != nullptr) {
+    hooks.injector->corrupt_update(leg.update);
+    leg.delay_ms = hooks.injector->straggler_delay_ms(id_, global.round);
+  }
+  return leg;
+}
+
 void Client::serve(InMemoryNetwork& net, std::size_t rounds,
                    ServeOptions opts) {
-  // Keeping a serialized copy of every round's update costs a payload-sized
-  // copy per round, so only do it when a stale-replay rule can actually ask
-  // for it.
-  const bool retain_previous =
-      opts.injector != nullptr && opts.injector->may_replay_stale(id_);
-  std::vector<std::uint8_t> previous_update_bytes;
   for (std::size_t r = 0; r < rounds; ++r) {
     std::optional<Message> msg = receive_with_backoff(net, id_, opts);
     if (!msg) return;  // retry budget exhausted: server went away
@@ -90,53 +103,24 @@ void Client::serve(InMemoryNetwork& net, std::size_t rounds,
 
     // Crash-before-update: the client received the broadcast but dies
     // before contributing — the server must time it out, not hang.
-    if (opts.injector != nullptr &&
-        opts.injector->should_crash(id_, global.round)) {
+    if (opts.hooks.injector != nullptr &&
+        opts.hooks.injector->should_crash(id_, global.round)) {
       return;
     }
 
-    obs::TraceSpan train_span(opts.trace, "fl.client_train", "fl");
-    train_span.annotate("client", static_cast<std::uint64_t>(id_));
-    train_span.annotate("round", static_cast<std::uint64_t>(global.round));
-    WeightUpdate update = train_round(global);
-    train_span.end();
-
-    // An attacker client poisons its own update before anything else
-    // touches it — upstream of scripted corruption and of encoding, exactly
-    // where a compromised client controls the pipeline.
-    if (opts.adversary != nullptr) {
-      opts.adversary->poison_update(update, global.weights);
+    const RoundLeg leg = run_leg(global, opts.hooks);
+    // A straggler really is late here: the server's deadline is wall-clock.
+    if (leg.delay_ms > 0.0) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(leg.delay_ms));
     }
-
-    if (opts.injector != nullptr) {
-      const double delay_ms =
-          opts.injector->straggler_delay_ms(id_, global.round);
-      if (delay_ms > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            delay_ms));
-      }
-      opts.injector->corrupt_update(update);
-      // Stale replay: re-send the previous round's bytes alongside the
-      // fresh update — the server's validator must reject the old round.
-      if (!previous_update_bytes.empty() &&
-          opts.injector->should_replay_stale(id_, global.round)) {
-        net.send(Message{id_, kServerNode, previous_update_bytes});
-      }
-    }
-
     // Encode against the broadcast as *this client decoded it* — under a
     // lossy downlink that is the server's delta reference too.
-    std::vector<std::uint8_t> bytes = encode_update(update, global.weights);
-    if (retain_previous) previous_update_bytes = bytes;
-    net.send(Message{id_, kServerNode, std::move(bytes)});
+    upload(leg.update, global.weights, opts.hooks,
+           [&](const std::vector<std::uint8_t>& bytes) {
+             return net.send(Message{id_, kServerNode, bytes});
+           });
   }
-}
-
-void Client::serve(InMemoryNetwork& net, std::size_t rounds,
-                   double timeout_ms) {
-  ServeOptions opts;
-  opts.receive_timeout_ms = timeout_ms;
-  serve(net, rounds, opts);
 }
 
 }  // namespace evfl::fl

@@ -34,6 +34,28 @@ struct ClientConfig {
   CodecConfig codec{};
 };
 
+/// What one client's round is subject to besides its own training, the
+/// same for every driver.  All optional and non-owning.
+struct RoundHooks {
+  /// Scripted faults: straggler delay, update corruption, stale replay.
+  /// (Crashes are the driver's to check: a crashed client never starts its
+  /// leg.)
+  const faults::FaultInjector* injector = nullptr;
+  /// Adaptive adversary: attacker clients poison their update after local
+  /// training, before corruption and encoding.
+  const AdversarySuite* adversary = nullptr;
+  /// Each local training pass is recorded as one "fl.client_train" span.
+  obs::TraceWriter* trace = nullptr;
+};
+
+/// The client's half of one round, before the upload.
+struct RoundLeg {
+  WeightUpdate update;
+  /// Scripted straggler delay; the driver decides how to spend it (virtual
+  /// time against its deadline, or a real sleep).
+  double delay_ms = 0.0;
+};
+
 /// Knobs for the threaded service loop.
 struct ServeOptions {
   /// Total per-round wait budget for the broadcast.  The wait is split into
@@ -45,15 +67,7 @@ struct ServeOptions {
   /// raises it automatically when handed a larger deadline.
   double receive_timeout_ms = 150'000.0;
   runtime::BackoffPolicy backoff{};
-  /// Optional scripted faults this client is subject to (crash, straggler
-  /// delay, update corruption, stale replay).  Non-owning.
-  const faults::FaultInjector* injector = nullptr;
-  /// Optional trace sink: each local training pass is recorded as one
-  /// "fl.client_train" span.  Non-owning; must outlive the serve loop.
-  obs::TraceWriter* trace = nullptr;
-  /// Optional adaptive adversary: attacker clients poison their update
-  /// after local training, before encoding.  Non-owning.
-  const AdversarySuite* adversary = nullptr;
+  RoundHooks hooks{};
 };
 
 class Client {
@@ -77,16 +91,38 @@ class Client {
   /// Error-feedback encoder state (diagnostics/tests).
   const UpdateEncoder& encoder() const { return encoder_; }
 
+  /// One round leg, shared by every driver: train on `global` (one
+  /// "fl.client_train" span), let an attacker poison the update, apply
+  /// scripted corruption.  Returns the update and the scripted straggler
+  /// delay.
+  RoundLeg run_leg(const GlobalModel& global, const RoundHooks& hooks);
+
+  /// Upload leg: when a stale-replay fault fires, first re-send the bytes
+  /// this client kept from its previous upload; then encode `update`
+  /// against `reference` (the broadcast this client decoded) and hand the
+  /// bytes to `send`, which returns whether they were delivered.  Returns
+  /// what `send` returned for the fresh update.
+  template <class Send>
+  bool upload(const WeightUpdate& update, const std::vector<float>& reference,
+              const RoundHooks& hooks, Send&& send) {
+    const faults::FaultInjector* inj = hooks.injector;
+    if (inj != nullptr && !last_upload_.empty() &&
+        inj->should_replay_stale(id_, update.round)) {
+      send(last_upload_);
+    }
+    const std::vector<std::uint8_t>& bytes = encode_update(update, reference);
+    // A payload-sized copy per round, so only when a replay can want it.
+    if (inj != nullptr && inj->may_replay_stale(id_)) last_upload_ = bytes;
+    return send(bytes);
+  }
+
   /// Threaded-mode service loop: for each of `rounds`, wait for a
   /// GlobalModel broadcast on `net` (budget-bounded retry-with-backoff),
-  /// train, and send the update back to the server node.  Exits when the
-  /// retry budget is exhausted (server gone), a kShutdownRound broadcast
-  /// arrives (server finished), or a scripted crash fault fires.
+  /// run the round leg, sleep the straggler delay, and upload to the server
+  /// node.  Exits when the retry budget is exhausted (server gone), a
+  /// kShutdownRound broadcast arrives (server finished), or a scripted
+  /// crash fault fires.
   void serve(InMemoryNetwork& net, std::size_t rounds, ServeOptions opts);
-
-  /// Legacy convenience overload: one total receive budget, no faults.
-  void serve(InMemoryNetwork& net, std::size_t rounds,
-             double timeout_ms = 60'000.0);
 
   /// Local model access (evaluation after training).
   nn::Sequential& model() { return model_; }
@@ -111,8 +147,9 @@ class Client {
   nn::MseLoss loss_;
   nn::Adam optimizer_;
   UpdateEncoder encoder_;
-  std::vector<std::uint8_t> wire_buf_;  // encode_update scratch
-  GlobalModel global_scratch_;          // serve-loop broadcast decode buffer
+  std::vector<std::uint8_t> wire_buf_;     // encode_update scratch
+  std::vector<std::uint8_t> last_upload_;  // previous upload, for replay
+  GlobalModel global_scratch_;  // serve-loop broadcast decode buffer
   std::atomic<double> last_train_seconds_{0.0};
 };
 

@@ -11,15 +11,22 @@
 // message loss, stragglers and Byzantine clients.  Both route every
 // parameter exchange through the serialized wire format.
 //
+// One round protocol for every driver (FleetDriver included): the client's
+// half is Client::run_leg + Client::upload, the close is
+// RoundRecorder::record_round (fl/round_recorder.hpp).  A driver owns only its transport and how it
+// spends a straggler's delay — virtual time against the deadline in
+// SyncDriver and FleetDriver, a real sleep in the threaded serve loop.
+//
 // Robustness model: each round has a deadline.  At the deadline the server
 // aggregates whatever validated updates arrived (partial aggregation); the
 // Server's UpdateValidator rejects stale/duplicate/non-finite updates and
 // its quorum decides whether the round moves the global model at all.  An
 // optional FaultInjector scripts crashes, stragglers, corruption,
-// duplicates and replays for both drivers through one seed-deterministic
+// duplicates and replays for every driver through one seed-deterministic
 // plan.
 #pragma once
 
+#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -60,10 +67,11 @@ std::vector<std::size_t> select_sampled(const SamplingPolicy& policy,
                                         std::uint32_t round,
                                         const std::vector<int>& ids);
 
-/// Per-round protocol knobs shared by both drivers.
+/// Per-round protocol knobs shared by both flat drivers.
 struct RoundPolicy {
   /// Hard per-round collection deadline: the server never waits longer than
   /// this for updates; stragglers past it are partially aggregated away.
+  /// 0 ships no update at all.
   double round_deadline_ms = 120'000.0;
   /// Which clients participate each round.  Unsampled clients never receive
   /// the broadcast, so they can neither contribute nor time out.
@@ -78,7 +86,8 @@ struct RoundMetrics {
   double weight_delta = 0.0;     // L2 movement of the global model
   double wall_seconds = 0.0;
   /// Slowest client's local-training time this round: the round's duration
-  /// under genuine client parallelism.
+  /// under genuine client parallelism.  Training time only — a scripted
+  /// straggler delay is not training.
   double max_client_seconds = 0.0;
   /// Messages the (simulated) network lost this round — dropped broadcasts
   /// and dropped/undeliverable updates.  A lossy round degrades, it never
@@ -125,66 +134,55 @@ class Driver {
   virtual FederatedRunResult run(std::size_t rounds) = 0;
 };
 
-class SyncDriver : public Driver {
+/// What SyncDriver and ThreadedDriver share: one Server, a flat client
+/// list, one InMemoryNetwork, and the same optional collaborators.
+///
+/// `ctx` (optional, non-owning) supplies the thread pool SyncDriver trains
+/// on (ThreadedDriver's clients schedule themselves), the trace writer for
+/// "fl.round" / "fl.client_train" spans and the registry for the
+/// robustness counters.  `injector` (optional, non-owning) scripts faults;
+/// it is also attached to the network so message-level faults (duplicates)
+/// apply.  `telemetry` (optional, non-owning) receives one RoundTelemetry
+/// record per round.  `adversary` (optional, non-owning) poisons
+/// attacker-client updates after local training, before encoding — the
+/// point a compromised client controls in a real deployment.
+class FlatDriver : public Driver {
  public:
-  /// `ctx` (optional, non-owning) supplies the thread pool for pool-backed
-  /// rounds; nullptr or a serial context trains clients one at a time.  Its
-  /// trace writer, when set, receives per-round and per-client-train spans.
-  /// `injector` (optional, non-owning) scripts faults; it is also attached
-  /// to the network so message-level faults (duplicates) apply.
-  /// `telemetry` (optional, non-owning) receives one RoundTelemetry record
-  /// per federated round.  `adversary` (optional, non-owning) poisons
-  /// attacker-client updates after local training, before encoding — the
-  /// point a compromised client controls in a real deployment.
-  SyncDriver(Server& server, std::vector<std::unique_ptr<Client>>& clients,
+  FlatDriver(Server& server, std::vector<std::unique_ptr<Client>>& clients,
              InMemoryNetwork& net, const runtime::RunContext* ctx = nullptr,
              const faults::FaultInjector* injector = nullptr,
              RoundPolicy policy = {},
              obs::RoundTelemetrySink* telemetry = nullptr,
              const AdversarySuite* adversary = nullptr);
 
-  FederatedRunResult run(std::size_t rounds) override;
+ protected:
+  /// Final weights, network stats and run time, then a teardown flush of
+  /// the trace writer so a caller reading the file right after run() sees
+  /// every span.
+  void finish(FederatedRunResult& result,
+              std::chrono::steady_clock::time_point t0) const;
 
- private:
   Server* server_;
   std::vector<std::unique_ptr<Client>>* clients_;
   InMemoryNetwork* net_;
   const runtime::RunContext* ctx_;
-  const faults::FaultInjector* injector_;
   RoundPolicy policy_;
   obs::RoundTelemetrySink* telemetry_;
-  const AdversarySuite* adversary_;
+  RoundHooks hooks_;  // injector, adversary, ctx's trace writer
 };
 
-class ThreadedDriver : public Driver {
+class SyncDriver : public FlatDriver {
  public:
-  /// `ctx` is used only for its trace writer (worker threads schedule
-  /// themselves); `telemetry` receives one RoundTelemetry per round;
-  /// `adversary` is handed to every client's serve loop.
-  ThreadedDriver(Server& server, std::vector<std::unique_ptr<Client>>& clients,
-                 InMemoryNetwork& net,
-                 const faults::FaultInjector* injector = nullptr,
-                 const runtime::RunContext* ctx = nullptr,
-                 obs::RoundTelemetrySink* telemetry = nullptr,
-                 const AdversarySuite* adversary = nullptr);
-
+  using FlatDriver::FlatDriver;
   FederatedRunResult run(std::size_t rounds) override;
+};
 
-  /// Legacy overload: `collect_timeout_ms` is the per-round deadline.
-  FederatedRunResult run(std::size_t rounds, double collect_timeout_ms);
-
-  /// Rounds close at policy.round_deadline_ms — the server aggregates the
-  /// validated partial set and never blocks past the deadline.
-  FederatedRunResult run(std::size_t rounds, const RoundPolicy& policy);
-
- private:
-  Server* server_;
-  std::vector<std::unique_ptr<Client>>* clients_;
-  InMemoryNetwork* net_;
-  const faults::FaultInjector* injector_;
-  const runtime::RunContext* ctx_;
-  obs::RoundTelemetrySink* telemetry_;
-  const AdversarySuite* adversary_;
+/// Rounds close at policy.round_deadline_ms — the server aggregates the
+/// validated partial set and never blocks past the deadline.
+class ThreadedDriver : public FlatDriver {
+ public:
+  using FlatDriver::FlatDriver;
+  FederatedRunResult run(std::size_t rounds) override;
 };
 
 }  // namespace evfl::fl

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "data/scaler.hpp"
 #include "data/window.hpp"
+#include "fl/round_recorder.hpp"
 #include "fl/serialize.hpp"
 
 namespace evfl::fl {
@@ -18,11 +19,6 @@ namespace {
 /// (both derive from the spec's series_seed, so a leaf re-materialized in a
 /// later round trains identically).
 constexpr std::uint64_t kLeafModelSalt = 0xBF58476D1CE4E5B9ull;
-
-double now_seconds() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
 
 }  // namespace
 
@@ -68,30 +64,28 @@ FleetDriver::FleetDriver(Aggregator& root,
 }
 
 FederatedRunResult FleetDriver::run(std::size_t rounds) {
+  const auto run_start = std::chrono::steady_clock::now();
   const std::size_t leaves = fleet_.size();
   const std::size_t edge_count = edges_.size();
   const std::size_t dim = root_->weights().size();
   const std::uint64_t logical_msg =
       kWireHeaderBytesV1 + static_cast<std::uint64_t>(dim) * sizeof(float);
+  obs::TraceWriter* trace = ctx_ != nullptr ? ctx_->trace : nullptr;
+  const RoundHooks hooks{injector_, cfg_.adversary, trace};
 
   FederatedRunResult result;
   result.rounds.reserve(rounds);
-  const double run_start = now_seconds();
 
   // One mutex per edge: leaf tasks of the same shard serialize only their
   // offer() call; training runs fully parallel.
   std::unique_ptr<std::mutex[]> edge_mutex(new std::mutex[edge_count]);
 
   for (std::size_t r = 0; r < rounds; ++r) {
-    const double round_start = now_seconds();
     const std::uint32_t round_no = root_->round();
-    RoundMetrics rm;
-    rm.round = round_no;
-    rm.population = leaves;
-
     const std::vector<std::size_t> sampled =
         select_sampled(cfg_.sampling, round_no, ids_);
-    rm.sampled_clients = sampled.size();
+    RoundRecorder recorder(ctx_, round_no, leaves, sampled.size());
+    RoundMetrics rm;
 
     // --- tier 1: root -> edges -----------------------------------------
     std::vector<char> edge_alive(edge_count, 1);
@@ -103,8 +97,7 @@ FederatedRunResult FleetDriver::run(std::size_t rounds) {
     }
 
     const std::vector<std::uint8_t>& root_wire = root_->broadcast_wire();
-    std::uint64_t bytes_down = 0, bytes_up = 0;
-    std::uint64_t logical_down = 0, logical_up = 0;
+    RoundBytes bytes;
     std::uint64_t messages = 0;
     std::vector<const std::vector<std::uint8_t>*> shard_wire(edge_count,
                                                              nullptr);
@@ -112,8 +105,8 @@ FederatedRunResult FleetDriver::run(std::size_t rounds) {
     for (std::size_t e = 0; e < edge_count; ++e) {
       if (!edge_alive[e]) continue;
       edges_[e]->begin_round(root_wire);
-      bytes_down += root_wire.size();
-      logical_down += logical_msg;
+      bytes.down += root_wire.size();
+      bytes.logical_down += logical_msg;
       ++messages;
       // One shared read-only broadcast buffer per shard — every sampled
       // leaf of the shard reads this same buffer and this same decode.
@@ -130,8 +123,8 @@ FederatedRunResult FleetDriver::run(std::size_t rounds) {
         continue;
       }
       ++reached;
-      bytes_down += shard_wire[e]->size();
-      logical_down += logical_msg;
+      bytes.down += shard_wire[e]->size();
+      bytes.logical_down += logical_msg;
       ++messages;
     }
 
@@ -145,6 +138,7 @@ FederatedRunResult FleetDriver::run(std::size_t rounds) {
       const std::size_t e = shard_of_[i];
       if (!edge_alive[e]) return;  // already counted as dropped
       const datagen::ClientSpec& spec = fleet_[i];
+      // Checked before materializing, so a crashed leaf costs nothing.
       if (injector_ != nullptr && injector_->should_crash(spec.id, round_no)) {
         return;  // reached but silent: times out below
       }
@@ -168,29 +162,23 @@ FederatedRunResult FleetDriver::run(std::size_t rounds) {
                     cfg_.client, std::move(rng));
       if (ctx_ != nullptr) ctx_->count("fleet.clients_materialized");
 
-      WeightUpdate u = client.train_round(shard_model[e]);
-      if (cfg_.adversary != nullptr) {
-        cfg_.adversary->poison_update(u, shard_model[e].weights);
-      }
+      const RoundLeg leg = client.run_leg(shard_model[e], hooks);
       leaf_seconds[k] = client.last_train_seconds();
-      leaf_loss[k] = u.train_loss;
-
-      double elapsed_ms = client.last_train_seconds() * 1e3;
-      if (injector_ != nullptr) {
-        elapsed_ms += injector_->straggler_delay_ms(spec.id, round_no);
-        injector_->corrupt_update(u);
+      leaf_loss[k] = leg.update.train_loss;
+      // Straggler delay is virtual time, as in SyncDriver.
+      if (leaf_seconds[k] * 1e3 + leg.delay_ms > cfg_.round_deadline_ms) {
+        return;  // straggler: too late
       }
-      if (elapsed_ms > cfg_.round_deadline_ms) return;  // straggler: too late
-
-      const std::vector<std::uint8_t>& wire =
-          client.encode_update(u, shard_model[e].weights);
-      leaf_up_bytes[k] = wire.size();
-      WeightUpdate decoded;
-      deserialize_update_into(wire, decoded);
-      {
-        std::lock_guard<std::mutex> lock(edge_mutex[e]);
-        edges_[e]->offer(std::move(decoded));
-      }
+      // A leaf lives for one round, so it has no earlier upload to replay.
+      client.upload(leg.update, shard_model[e].weights, hooks,
+                    [&](const std::vector<std::uint8_t>& wire) {
+                      leaf_up_bytes[k] = wire.size();
+                      WeightUpdate decoded;
+                      deserialize_update_into(wire, decoded);
+                      std::lock_guard<std::mutex> lock(edge_mutex[e]);
+                      edges_[e]->offer(std::move(decoded));
+                      return true;
+                    });
       leaf_offered[k] = 1;
     };
 
@@ -209,12 +197,11 @@ FederatedRunResult FleetDriver::run(std::size_t rounds) {
     std::size_t offered = 0;
     double loss_sum = 0.0;
     for (std::size_t k = 0; k < sampled.size(); ++k) {
-      rm.max_client_seconds = std::max(rm.max_client_seconds, leaf_seconds[k]);
       if (leaf_offered[k] != 0) {
         ++offered;
         loss_sum += static_cast<double>(leaf_loss[k]);
-        bytes_up += leaf_up_bytes[k];
-        logical_up += logical_msg;
+        bytes.up += leaf_up_bytes[k];
+        bytes.logical_up += logical_msg;
         ++messages;
       }
     }
@@ -223,76 +210,46 @@ FederatedRunResult FleetDriver::run(std::size_t rounds) {
     rm.timed_out_clients = reached - offered;
 
     // --- tier 1 close: edges forward, root aggregates ------------------
-    std::size_t clipped = 0, clipped_aggregates = 0;
-    std::size_t nonfinite = 0, stale = 0, duplicate = 0, dimension = 0;
+    // One audit for the whole tree: leaf-level acceptance from the edges,
+    // rejections and clips from every tier, quorum from the root.
+    RoundAudit audit;
+    const auto add_rejections = [&audit](const RoundAudit& a) {
+      audit.rejected_nonfinite += a.rejected_nonfinite;
+      audit.rejected_stale += a.rejected_stale;
+      audit.rejected_duplicate += a.rejected_duplicate;
+      audit.rejected_dimension += a.rejected_dimension;
+      audit.clipped += a.clipped;
+      audit.clipped_aggregates += a.clipped_aggregates;
+    };
     for (std::size_t e = 0; e < edge_count; ++e) {
       if (!edge_alive[e]) continue;
       const std::vector<std::uint8_t>* fw = edges_[e]->forward_wire();
-      const RoundAudit& audit = edges_[e]->last_audit();
-      rm.updates_received += audit.accepted;  // leaf-level acceptance
-      nonfinite += audit.rejected_nonfinite;
-      stale += audit.rejected_stale;
-      duplicate += audit.rejected_duplicate;
-      dimension += audit.rejected_dimension;
-      clipped += audit.clipped;
-      clipped_aggregates += audit.clipped_aggregates;
+      audit.accepted += edges_[e]->last_audit().accepted;
+      add_rejections(edges_[e]->last_audit());
       if (fw == nullptr) continue;  // under per-tier quorum: partial round
-      bytes_up += fw->size();
-      logical_up += logical_msg;
+      bytes.up += fw->size();
+      bytes.logical_up += logical_msg;
       ++messages;
       WeightUpdate up;
       deserialize_update_into(*fw, up);
       root_->offer(std::move(up));
     }
     rm.weight_delta = root_->close_round();
-    const RoundAudit& root_audit = root_->last_audit();
-    nonfinite += root_audit.rejected_nonfinite;
-    stale += root_audit.rejected_stale;
-    duplicate += root_audit.rejected_duplicate;
-    dimension += root_audit.rejected_dimension;
-    clipped += root_audit.clipped;
-    clipped_aggregates += root_audit.clipped_aggregates;
-    rm.rejected_updates = nonfinite + duplicate + dimension;
-    rm.late_updates = stale;
-    rm.wall_seconds = now_seconds() - round_start;
+    add_rejections(root_->last_audit());
+    audit.quorum_met = root_->last_audit().quorum_met;
 
     result.network.messages_sent += messages;
     result.network.messages_dropped += rm.dropped_messages;
-    result.network.bytes_sent += bytes_down + bytes_up;
-    result.simulated_parallel_seconds += rm.max_client_seconds;
-
-    if (telemetry_ != nullptr) {
-      obs::RoundTelemetry rt;
-      rt.round = rm.round;
-      rt.wall_seconds = rm.wall_seconds;
-      rt.max_client_seconds = rm.max_client_seconds;
-      rt.client_train_seconds = leaf_seconds;
-      rt.bytes_down = bytes_down;
-      rt.bytes_up = bytes_up;
-      rt.logical_bytes_down = logical_down;
-      rt.logical_bytes_up = logical_up;
-      rt.updates_accepted = rm.updates_received;
-      rt.rejected_updates = rm.rejected_updates;
-      rt.late_updates = rm.late_updates;
-      rt.dropped_messages = rm.dropped_messages;
-      rt.timed_out_clients = rm.timed_out_clients;
-      rt.population = rm.population;
-      rt.sampled_clients = rm.sampled_clients;
-      rt.rejected_nonfinite = nonfinite;
-      rt.rejected_stale = stale;
-      rt.rejected_duplicate = duplicate;
-      rt.rejected_dimension = dimension;
-      rt.clipped = clipped;
-      rt.clipped_aggregates = clipped_aggregates;
-      rt.quorum_met = root_audit.quorum_met;
-      telemetry_->record(std::move(rt));
-    }
-
-    result.rounds.push_back(rm);
+    result.network.bytes_sent += bytes.down + bytes.up;
+    recorder.record_round(rm, audit, std::move(leaf_seconds), bytes,
+                          telemetry_, result);
   }
 
   result.final_weights = root_->weights();
-  result.total_seconds = now_seconds() - run_start;
+  result.total_seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - run_start)
+                             .count();
+  if (trace != nullptr) trace->flush();
   return result;
 }
 

@@ -49,7 +49,7 @@ struct FleetDriverConfig {
   /// Forecast window: leaves train on sequences of this many hours.
   std::size_t lookback = 24;
   /// Simulated per-round deadline for leaves (straggler delays are virtual
-  /// time, as in SyncDriver).
+  /// time, as in SyncDriver; 0 ships no update).
   double round_deadline_ms = 120'000.0;
   /// Optional adaptive adversary (non-owning).  Data-poisoning kinds
   /// relabel a leaf's freshly materialized training set; model-poisoning
@@ -61,7 +61,9 @@ class FleetDriver : public Driver {
  public:
   /// `root`'s weights define the model dimension; its codec is the
   /// edge→root wire (kDense ⇒ exact forwarding).  `ctx` supplies the worker
-  /// pool that bounds how many leaves are materialized at once.
+  /// pool that bounds how many leaves are materialized at once, the trace
+  /// writer for "fl.round" / "fl.client_train" spans and the registry for
+  /// the robustness counters, as in the flat drivers.
   FleetDriver(Aggregator& root, std::vector<datagen::ClientSpec> fleet,
               ModelFactory factory, FleetDriverConfig cfg = {},
               const runtime::RunContext* ctx = nullptr,

@@ -1,20 +1,13 @@
 // Federated server: the root of an aggregation tree.  All round logic
 // (validate → clip → quorum → FedAvg → advance) lives in fl::Aggregator —
-// see fl/aggregator.hpp; Server remains as the name the flat (one-level)
-// topology and the drivers use for the root node.
+// see fl/aggregator.hpp; Server is the name the flat (one-level) topology
+// and the drivers use for the root node.
 #pragma once
 
 #include "fl/aggregator.hpp"
 
 namespace evfl::fl {
 
-class Server : public Aggregator {
- public:
-  // Explicit forwarding ctor (not `using Aggregator::Aggregator`) so
-  // `Server({...})` keeps its historical overload resolution.
-  explicit Server(std::vector<float> initial_weights, FedAvgConfig cfg = {},
-                  ValidatorConfig validator_cfg = {}, CodecConfig codec = {})
-      : Aggregator(std::move(initial_weights), cfg, validator_cfg, codec) {}
-};
+using Server = Aggregator;
 
 }  // namespace evfl::fl

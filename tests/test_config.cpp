@@ -211,6 +211,32 @@ TEST(CliOverrides, RejectsBadServingKnobs) {
   EXPECT_EQ(cfg.serve_quant_bits, 0);
 }
 
+TEST(CliOverrides, RejectedThresholdPctLeavesThresholdUntouched) {
+  ExperimentConfig cfg;
+  cfg.filter.threshold.kind = anomaly::ThresholdKind::kMad;
+  cfg.filter.threshold.param = 3.0;
+  EXPECT_THROW(apply(cfg, {"--threshold-pct", "98%"}), Error);
+  EXPECT_EQ(cfg.filter.threshold.kind, anomaly::ThresholdKind::kMad);
+  EXPECT_EQ(cfg.filter.threshold.param, 3.0);
+}
+
+TEST(CliOverrides, TakeFlagStripsBareSwitchesOnly) {
+  std::string prog = "prog", flag = "--check-allocs", key = "--hours",
+              value = "200";
+  std::vector<char*> argv = {prog.data(), flag.data(), key.data(),
+                             value.data(), flag.data()};
+  int argc = static_cast<int>(argv.size());
+  EXPECT_TRUE(take_flag(argc, argv.data(), "--check-allocs"));
+  ASSERT_EQ(argc, 3);
+  EXPECT_EQ(std::string(argv[1]), "--hours");
+  EXPECT_EQ(std::string(argv[2]), "200");
+  EXPECT_FALSE(take_flag(argc, argv.data(), "--check-allocs"));
+  EXPECT_EQ(argc, 3);
+  ExperimentConfig cfg;
+  apply_cli_overrides(cfg, argc, argv.data());
+  EXPECT_EQ(cfg.generator.hours, 200u);
+}
+
 TEST(CliOverrides, UnknownKeyThrows) {
   ExperimentConfig cfg;
   EXPECT_THROW(apply(cfg, {"--no-such-flag", "1"}), Error);

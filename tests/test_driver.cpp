@@ -124,9 +124,11 @@ TEST(ThreadedDriver, SkipsStragglersPastDeadline) {
   auto clients = make_clients(512, 7);  // slower training
   Server server({0.0f, 0.0f});
   InMemoryNetwork net;
-  ThreadedDriver driver(server, clients, net);
   // Absurdly short collect deadline: rounds proceed with whatever arrived.
-  const FederatedRunResult result = driver.run(2, 1.0);
+  RoundPolicy policy;
+  policy.round_deadline_ms = 1.0;
+  ThreadedDriver driver(server, clients, net, nullptr, nullptr, policy);
+  const FederatedRunResult result = driver.run(2);
   ASSERT_EQ(result.rounds.size(), 2u);
   for (const auto& r : result.rounds) {
     EXPECT_LE(r.updates_received, 3u);
@@ -172,7 +174,8 @@ TEST(ThreadedDriver, RecordsRoundTelemetry) {
   Server server({0.0f, 0.0f});
   InMemoryNetwork net;
   obs::RoundTelemetrySink sink;
-  ThreadedDriver driver(server, clients, net, nullptr, nullptr, &sink);
+  ThreadedDriver driver(server, clients, net, nullptr, nullptr, RoundPolicy{},
+                        &sink);
   driver.run(2);
 
   ASSERT_EQ(sink.size(), 2u);
@@ -218,6 +221,99 @@ TEST(SyncDriver, DeterministicAcrossRuns) {
     return driver.run(3).final_weights;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// --- One round protocol: the rules every driver shares --------------------
+
+TEST(SyncDriver, DeadlineZeroShipsNoUpdate) {
+  auto clients = make_clients(16, 14);
+  Server server({0.0f, 0.0f});
+  InMemoryNetwork net;
+  RoundPolicy policy;
+  policy.round_deadline_ms = 0.0;
+  SyncDriver driver(server, clients, net, nullptr, nullptr, policy);
+  const FederatedRunResult result = driver.run(2);
+  ASSERT_EQ(result.rounds.size(), 2u);
+  for (const RoundMetrics& r : result.rounds) {
+    EXPECT_EQ(r.updates_received, 0u);
+    EXPECT_EQ(r.timed_out_clients, 3u);
+  }
+  EXPECT_EQ(result.final_weights, (std::vector<float>{0.0f, 0.0f}));
+}
+
+TEST(ThreadedDriver, DeadlineZeroShipsNoUpdate) {
+  auto clients = make_clients(16, 15);
+  Server server({0.0f, 0.0f});
+  InMemoryNetwork net;
+  RoundPolicy policy;
+  policy.round_deadline_ms = 0.0;
+  ThreadedDriver driver(server, clients, net, nullptr, nullptr, policy);
+  const FederatedRunResult result = driver.run(2);
+  ASSERT_EQ(result.rounds.size(), 2u);
+  for (const RoundMetrics& r : result.rounds) {
+    EXPECT_EQ(r.updates_received, 0u);
+    EXPECT_EQ(r.timed_out_clients, 3u);
+  }
+  EXPECT_EQ(result.final_weights, (std::vector<float>{0.0f, 0.0f}));
+}
+
+TEST(SyncDriver, StragglerDelayIsNotTrainingTime) {
+  // A 600 ms virtual straggler meets the default deadline and ships, but its
+  // delay is not client training time: neither the round's slowest client
+  // nor the run's simulated parallel time may include it.
+  auto clients = make_clients(16, 16);
+  Server server({0.0f, 0.0f});
+  InMemoryNetwork net;
+  faults::FaultPlan plan;
+  plan.straggle(0, 600.0);
+  const faults::FaultInjector injector(plan, 3);
+  SyncDriver driver(server, clients, net, nullptr, &injector);
+  const FederatedRunResult result = driver.run(2);
+  for (const RoundMetrics& r : result.rounds) {
+    EXPECT_EQ(r.updates_received, 3u);
+    EXPECT_LT(r.max_client_seconds, 0.6);
+  }
+  EXPECT_LE(result.simulated_parallel_seconds, result.total_seconds);
+}
+
+TEST(Drivers, SyncAndThreadedAgreeUnderFaults) {
+  // Client 1 crashes from round 2 on, client 2's update is NaN-poisoned from
+  // round 1 on.  Both flat drivers run the same client leg and the same
+  // deadline rule, so they must count the same outcomes and land on the
+  // bit-identical model.
+  faults::FaultPlan plan;
+  plan.crash(1, 2);
+  plan.corrupt(2, faults::CorruptionMode::kNaN, 1);
+  RoundPolicy policy;
+  policy.round_deadline_ms = 1000.0;
+  auto run = [&](bool threaded) {
+    auto clients = make_clients(32, 17);
+    Server server({0.0f, 0.0f});
+    InMemoryNetwork net;
+    const faults::FaultInjector injector(plan, 5);
+    if (threaded) {
+      return ThreadedDriver(server, clients, net, nullptr, &injector, policy)
+          .run(4);
+    }
+    return SyncDriver(server, clients, net, nullptr, &injector, policy).run(4);
+  };
+  const FederatedRunResult sync = run(false);
+  const FederatedRunResult threaded = run(true);
+  ASSERT_EQ(sync.rounds.size(), 4u);
+  ASSERT_EQ(threaded.rounds.size(), 4u);
+  for (std::size_t r = 0; r < 4; ++r) {
+    SCOPED_TRACE(r);
+    EXPECT_EQ(sync.rounds[r].updates_received,
+              threaded.rounds[r].updates_received);
+    EXPECT_EQ(sync.rounds[r].rejected_updates,
+              threaded.rounds[r].rejected_updates);
+    EXPECT_EQ(sync.rounds[r].timed_out_clients,
+              threaded.rounds[r].timed_out_clients);
+  }
+  // The faults really fired: a rejection in round 1, a timeout in round 3.
+  EXPECT_EQ(sync.rounds[1].rejected_updates, 1u);
+  EXPECT_EQ(sync.rounds[3].timed_out_clients, 1u);
+  EXPECT_EQ(sync.final_weights, threaded.final_weights);
 }
 
 }  // namespace

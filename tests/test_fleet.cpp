@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "datagen/fleet.hpp"
 #include "fl/server.hpp"
 #include "forecast/model.hpp"
 #include "obs/round_telemetry.hpp"
+#include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
+#include "runtime/run_context.hpp"
 #include "tensor/rng.hpp"
 
 namespace evfl {
@@ -192,6 +198,68 @@ TEST(FleetDriver, CrashedLeafTimesOutAgainstItsEdge) {
   EXPECT_EQ(rm.updates_received, 7u);
   EXPECT_EQ(rm.timed_out_clients, 1u);
   EXPECT_EQ(rm.dropped_messages, 0u);
+}
+
+TEST(FleetDriver, DeadlineZeroShipsNoUpdate) {
+  const std::vector<datagen::ClientSpec> fleet =
+      datagen::make_fleet(small_fleet_cfg(4));
+  fl::FleetDriverConfig cfg = tiny_driver_cfg(2);
+  cfg.round_deadline_ms = 0.0;
+  fl::Server root(root_weights());
+  const std::vector<float> initial = root.weights();
+  fl::FleetDriver driver(root, fleet, tiny_factory(), cfg);
+  const fl::FederatedRunResult res = driver.run(1);
+  const fl::RoundMetrics& rm = res.rounds[0];
+  EXPECT_EQ(rm.updates_received, 0u);
+  EXPECT_EQ(rm.timed_out_clients, 4u);
+  EXPECT_EQ(res.final_weights, initial);
+}
+
+std::size_t count_spans(const std::string& trace, const std::string& name) {
+  const std::string needle = "\"name\": \"" + name + "\"";
+  std::size_t n = 0;
+  for (std::size_t at = trace.find(needle); at != std::string::npos;
+       at = trace.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(FleetDriver, EmitsRoundSpansAndRobustnessCounters) {
+  // The fleet tier runs the flat drivers' round protocol: one "fl.round"
+  // span per round, one "fl.client_train" span per trained leaf, and the
+  // robustness counters in the context's registry.  Leaf 1 crashes (never
+  // trains, times out) and leaf 2 ships a NaN update (trains, is rejected).
+  const std::vector<datagen::ClientSpec> fleet =
+      datagen::make_fleet(small_fleet_cfg(4));
+  faults::FaultPlan plan;
+  plan.crash(fleet[1].id);
+  plan.corrupt(fleet[2].id, faults::CorruptionMode::kNaN);
+  const faults::FaultInjector injector(plan);
+
+  const std::string path = "test_trace_fleet_rounds.jsonl";
+  obs::TraceWriter writer(path);
+  obs::Registry registry;
+  runtime::RunContext ctx;
+  ctx.trace = &writer;
+  ctx.registry = &registry;
+  fl::Server root(root_weights());
+  fl::FleetDriver driver(root, fleet, tiny_factory(), tiny_driver_cfg(2),
+                         &ctx, &injector);
+  const fl::FederatedRunResult res = driver.run(2);
+  ASSERT_EQ(res.rounds.size(), 2u);
+
+  std::ifstream in(path);  // run() flushed the writer at teardown
+  const std::string trace((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(count_spans(trace, "fl.round"), 2u);
+  EXPECT_EQ(count_spans(trace, "fl.client_train"), 2u * 3u);
+  const std::map<std::string, double> counters = registry.counter_values();
+  ASSERT_EQ(counters.count("fl.rejected_updates"), 1u);
+  ASSERT_EQ(counters.count("fl.timed_out_clients"), 1u);
+  EXPECT_EQ(counters.at("fl.rejected_updates"), 2.0);
+  EXPECT_EQ(counters.at("fl.timed_out_clients"), 2.0);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 
 namespace evfl::tensor {
 namespace {
@@ -115,6 +116,13 @@ TEST(Rng, SplitProducesIndependentStream) {
     if (parent.uniform(0, 1) == child.uniform(0, 1)) ++same;
   }
   EXPECT_LT(same, 5);
+}
+
+TEST(Splitmix64, KnownAnswers) {
+  // Reference values of the splitmix64 finalizer; every fault, adversary,
+  // sampling and fleet-seed decision is derived from it.
+  EXPECT_EQ(splitmix64(0), 0xE220A8397B1DCDAFull);
+  EXPECT_EQ(splitmix64(1), 0x910A2DEC89025CC1ull);
 }
 
 }  // namespace
