@@ -49,139 +49,134 @@ double parse_double(const std::string& key, const std::string& value) {
 }  // namespace
 
 void apply_cli_overrides(ExperimentConfig& cfg, int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; i += 2) {
+  for (int i = 1; i < argc; i += 2) {
     const std::string key = argv[i];
-    const std::string value = argv[i + 1];
+    // Read only inside a known key's branch, so a lone trailing key is
+    // judged by name first: a typo is unknown, a known key lacks a value.
+    const auto value = [&]() -> std::string {
+      if (i + 1 == argc) throw Error("missing value for " + key);
+      return argv[i + 1];
+    };
     if (key == "--seed") {
-      cfg.seed = parse_unsigned(key, value);
+      cfg.seed = parse_unsigned(key, value());
       cfg.generator.seed = cfg.seed + 1;
     } else if (key == "--rounds") {
-      cfg.federated_rounds = parse_unsigned(key, value);
+      cfg.federated_rounds = parse_unsigned(key, value());
     } else if (key == "--epochs") {
-      cfg.epochs_per_round = parse_unsigned(key, value);
+      cfg.epochs_per_round = parse_unsigned(key, value());
     } else if (key == "--hours") {
-      cfg.generator.hours = parse_unsigned(key, value);
+      cfg.generator.hours = parse_unsigned(key, value());
     } else if (key == "--lstm-units") {
-      cfg.forecaster.lstm_units = parse_unsigned(key, value);
+      cfg.forecaster.lstm_units = parse_unsigned(key, value());
     } else if (key == "--seq-len") {
-      cfg.forecaster.sequence_length = parse_unsigned(key, value);
+      cfg.forecaster.sequence_length = parse_unsigned(key, value());
       cfg.filter.autoencoder.window = cfg.forecaster.sequence_length;
     } else if (key == "--bursts") {
-      cfg.ddos.bursts = parse_unsigned(key, value);
+      cfg.ddos.bursts = parse_unsigned(key, value());
     } else if (key == "--threshold-pct") {
       // Parse before assigning: a rejected value must not half-apply.
-      const double pct = parse_double(key, value);
+      const double pct = parse_double(key, value());
       cfg.filter.threshold.kind = anomaly::ThresholdKind::kPercentile;
       cfg.filter.threshold.param = pct;
     } else if (key == "--gap-tolerance") {
-      cfg.filter.gap_tolerance = parse_unsigned(key, value);
+      cfg.filter.gap_tolerance = parse_unsigned(key, value());
     } else if (key == "--train-fraction") {
-      cfg.train_fraction = parse_double(key, value);
+      cfg.train_fraction = parse_double(key, value());
     } else if (key == "--threaded") {
-      cfg.threaded = parse_unsigned(key, value) != 0;
+      cfg.threaded = parse_unsigned(key, value()) != 0;
     } else if (key == "--ae-epochs") {
-      cfg.filter.autoencoder.max_epochs = parse_unsigned(key, value);
+      cfg.filter.autoencoder.max_epochs = parse_unsigned(key, value());
     } else if (key == "--damping") {
-      cfg.ddos.damping = static_cast<float>(parse_double(key, value));
+      cfg.ddos.damping = static_cast<float>(parse_double(key, value()));
     } else if (key == "--threads") {
-      cfg.threads = parse_unsigned(key, value);
+      cfg.threads = parse_unsigned(key, value());
       // Cap before it sizes a worker pool.
       if (cfg.threads > 1024) {
-        throw Error("bad value for --threads: '" + value + "' (max 1024)");
+        throw Error("bad value for --threads: '" + value() + "' (max 1024)");
       }
     } else if (key == "--codec") {
-      cfg.codec.kind = fl::parse_codec_kind(value);
+      cfg.codec.kind = fl::parse_codec_kind(value());
     } else if (key == "--topk-frac") {
-      cfg.codec.topk_frac = parse_double(key, value);
+      cfg.codec.topk_frac = parse_double(key, value());
       if (!(cfg.codec.topk_frac > 0.0) || cfg.codec.topk_frac > 1.0) {
-        throw Error("bad value for --topk-frac: '" + value +
+        throw Error("bad value for --topk-frac: '" + value() +
                     "' (expected a fraction in (0, 1])");
       }
     } else if (key == "--quant-bits") {
-      const std::uint64_t bits = parse_unsigned(key, value);
+      const std::uint64_t bits = parse_unsigned(key, value());
       if (bits != 4 && bits != 8) {
-        throw Error("bad value for --quant-bits: '" + value +
+        throw Error("bad value for --quant-bits: '" + value() +
                     "' (expected 4 or 8)");
       }
       cfg.codec.quant_bits = static_cast<int>(bits);
     } else if (key == "--clients") {
-      const std::uint64_t clients = parse_unsigned(key, value);
+      const std::uint64_t clients = parse_unsigned(key, value());
       if (clients > 1'000'000) {
-        throw Error("bad value for --clients: '" + value + "' (max 1000000)");
+        throw Error("bad value for --clients: '" + value() + "' (max 1000000)");
       }
       cfg.fleet_clients = clients;
     } else if (key == "--edges") {
-      const std::uint64_t edges = parse_unsigned(key, value);
+      const std::uint64_t edges = parse_unsigned(key, value());
       if (edges < 1 || edges > 4096) {
-        throw Error("bad value for --edges: '" + value +
+        throw Error("bad value for --edges: '" + value() +
                     "' (expected 1..4096)");
       }
       cfg.fleet_edges = edges;
     } else if (key == "--sample-frac") {
-      const double frac = parse_double(key, value);
+      const double frac = parse_double(key, value());
       if (!(frac > 0.0) || frac > 1.0) {
-        throw Error("bad value for --sample-frac: '" + value +
+        throw Error("bad value for --sample-frac: '" + value() +
                     "' (expected a fraction in (0, 1])");
       }
       cfg.sample_frac = frac;
     } else if (key == "--serve-batch") {
-      const std::uint64_t batch = parse_unsigned(key, value);
+      const std::uint64_t batch = parse_unsigned(key, value());
       if (batch < 1 || batch > 4096) {
-        throw Error("bad value for --serve-batch: '" + value +
+        throw Error("bad value for --serve-batch: '" + value() +
                     "' (expected 1..4096)");
       }
       cfg.serve_batch = batch;
-    } else if (key == "--serve-quant-bits") {
-      const std::uint64_t bits = parse_unsigned(key, value);
-      if (bits != 0 && bits != 8) {
-        throw Error("bad value for --serve-quant-bits: '" + value +
-                    "' (expected 0 for fp32 or 8 for int8)");
-      }
-      cfg.serve_quant_bits = static_cast<int>(bits);
     } else if (key == "--stream-queue-max") {
-      const std::uint64_t n = parse_unsigned(key, value);
+      const std::uint64_t n = parse_unsigned(key, value());
       if (n < 8 || n > 1'048'576) {
-        throw Error("bad value for --stream-queue-max: '" + value +
+        throw Error("bad value for --stream-queue-max: '" + value() +
                     "' (expected 8..1048576)");
       }
       cfg.stream_queue_max = n;
     } else if (key == "--stream-shards") {
-      const std::uint64_t n = parse_unsigned(key, value);
+      const std::uint64_t n = parse_unsigned(key, value());
       if (n < 1 || n > 256) {
-        throw Error("bad value for --stream-shards: '" + value +
+        throw Error("bad value for --stream-shards: '" + value() +
                     "' (expected 1..256)");
       }
       cfg.stream_shards = n;
     } else if (key == "--stream-drift-z") {
-      const double z = parse_double(key, value);
+      const double z = parse_double(key, value());
       if (!(z >= 0.0)) {
-        throw Error("bad value for --stream-drift-z: '" + value +
+        throw Error("bad value for --stream-drift-z: '" + value() +
                     "' (expected >= 0; 0 disables the drift probe)");
       }
       cfg.stream_drift_z = z;
     } else if (key == "--agg-rule") {
-      cfg.fedavg.rule = fl::parse_aggregation_rule(value);
+      cfg.fedavg.rule = fl::parse_aggregation_rule(value());
     } else if (key == "--attack-kind") {
-      cfg.attack.kind = fl::parse_attack_kind(value);
+      cfg.attack.kind = fl::parse_attack_kind(value());
     } else if (key == "--attack-frac") {
-      const double frac = parse_double(key, value);
+      const double frac = parse_double(key, value());
       if (frac < 0.0 || frac > 1.0) {
-        throw Error("bad value for --attack-frac: '" + value +
+        throw Error("bad value for --attack-frac: '" + value() +
                     "' (expected a fraction in [0, 1])");
       }
       cfg.attack.fraction = frac;
     } else if (key == "--cache-dir") {
-      cfg.cache_dir = value;
+      cfg.cache_dir = value();
     } else if (key == "--trace-out") {
-      cfg.trace_out = value;
+      cfg.trace_out = value();
     } else if (key == "--metrics-json") {
-      cfg.metrics_json = value;
+      cfg.metrics_json = value();
     } else {
       throw Error("unknown option: " + key);
     }
-  }
-  if (argc >= 2 && (argc - 1) % 2 != 0) {
-    throw Error("options must come in --key value pairs");
   }
 }
 

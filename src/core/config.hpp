@@ -45,11 +45,8 @@ struct ExperimentConfig {
   /// participates every round.
   double sample_frac = 1.0;
 
-  /// Serving-engine knobs (forecast::Engine, bench_serving): series scored
-  /// per engine batch, and snapshot weight storage — 0 keeps fp32, 8
-  /// freezes int8 block-quantized snapshots.
+  /// Series scored per forecast::Engine batch (bench_serving).
   std::size_t serve_batch = 32;
-  int serve_quant_bits = 0;
 
   /// Streaming online detection (stream::ShardedPipeline, bench_stream):
   /// `stream_queue_max` bounds the event queue and each shard's ingest
@@ -97,15 +94,16 @@ struct ExperimentConfig {
 ///   --cache-dir PATH  --trace-out FILE  --metrics-json FILE
 ///   --codec dense|delta|topk|topk_q  --topk-frac X  --quant-bits 4|8
 ///   --clients N  --edges N  --sample-frac X
-///   --serve-batch N (1..4096)  --serve-quant-bits 0|8 (0 = fp32 snapshots)
+///   --serve-batch N (1..4096)
 ///   --stream-queue-max N (8..1048576)
 ///   --stream-shards N (1..256)  --stream-drift-z X (>= 0, 0 = probe off)
 ///   --agg-rule mean|trimmed_mean|median|norm_bounded|multi_krum
 ///   --attack-kind none|sign_flip|alie|label_flip|backdoor
 ///   --attack-frac X (fraction of clients compromised, [0, 1])
-/// Unknown keys throw evfl::Error (typos must not silently run the
-/// default), and numeric values must consume the whole token: "8x" or
-/// "1.5abc" is an error, never a silent prefix parse.
+/// Unknown keys throw evfl::Error "unknown option: KEY" (typos must not
+/// silently run the default), a known key with no value "missing value for
+/// KEY", and numeric values must consume the whole token: "8x" or "1.5abc"
+/// is an error, never a silent prefix parse.
 void apply_cli_overrides(ExperimentConfig& cfg, int argc, char** argv);
 
 /// Remove every occurrence of the bare switch `flag` (one that takes no

@@ -57,6 +57,7 @@ WeightUpdate Client::train_round(const GlobalModel& global) {
   fit.batch_size = cfg_.batch_size;
   const nn::FitHistory hist = trainer.fit(x_, y_, fit);
   last_train_seconds_.store(timer.seconds(), std::memory_order_relaxed);
+  last_train_round_.store(global.round, std::memory_order_release);
 
   WeightUpdate update;
   update.client_id = id_;

@@ -130,10 +130,13 @@ class Client {
   /// Initial local weights (used by the server to seed the global model).
   std::vector<float> initial_weights() { return model_.get_weights(); }
 
-  /// Wall-clock seconds of the most recent train_round (what a genuinely
-  /// distributed deployment would spend on this client in parallel).
-  /// Atomic: the ThreadedDriver reads it while the client thread trains.
-  double last_train_seconds() const {
+  /// Wall-clock seconds this client spent in train_round for `round` (what
+  /// a genuinely distributed deployment would spend on it in parallel); 0
+  /// when its latest training belongs to another round — it crashed, lost
+  /// the broadcast or is still training.  Atomic: the ThreadedDriver reads
+  /// it at round close while the client thread may be training.
+  double train_seconds(std::uint32_t round) const {
+    if (last_train_round_.load(std::memory_order_acquire) != round) return 0.0;
     return last_train_seconds_.load(std::memory_order_relaxed);
   }
 
@@ -151,6 +154,7 @@ class Client {
   std::vector<std::uint8_t> last_upload_;  // previous upload, for replay
   GlobalModel global_scratch_;  // serve-loop broadcast decode buffer
   std::atomic<double> last_train_seconds_{0.0};
+  std::atomic<std::uint32_t> last_train_round_{kShutdownRound};  // none yet
 };
 
 }  // namespace evfl::fl

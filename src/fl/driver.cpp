@@ -292,7 +292,7 @@ FederatedRunResult SyncDriver::run(std::size_t rounds) {
         return;
       }
       const RoundLeg leg = client.run_leg(received, hooks_);
-      client_seconds[c] = client.last_train_seconds();
+      client_seconds[c] = client.train_seconds(received.round);
       // Straggler delay is virtual time in the sync schedule: it counts
       // against the deadline without sleeping the run.
       if (client_seconds[c] * 1e3 + leg.delay_ms > policy_.round_deadline_ms) {
@@ -422,13 +422,13 @@ FederatedRunResult ThreadedDriver::run(std::size_t rounds) {
                                          broadcasts_delivered);
     rm.dropped_messages = cohort.size() - broadcasts_delivered;
     // Per-client train seconds sampled at round close (sampled cohort only
-    // — the others did not train): a client that did not finish this round
-    // (crashed / missed broadcast) still reports its previous round's
-    // value, so this is a best-effort snapshot in the threaded schedule.
+    // — the others did not train): a client that did not finish training
+    // this round (crashed / missed broadcast / still training) reports 0,
+    // as in the sync schedule.
     std::vector<double> client_seconds;
     client_seconds.reserve(sampled.size());
     for (const std::size_t c : sampled) {
-      client_seconds.push_back((*clients_)[c]->last_train_seconds());
+      client_seconds.push_back((*clients_)[c]->train_seconds(round));
     }
     recorder.record_round(rm, server_->last_audit(), std::move(client_seconds),
                           bytes, telemetry_, result);

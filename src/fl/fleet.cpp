@@ -163,7 +163,7 @@ FederatedRunResult FleetDriver::run(std::size_t rounds) {
       if (ctx_ != nullptr) ctx_->count("fleet.clients_materialized");
 
       const RoundLeg leg = client.run_leg(shard_model[e], hooks);
-      leaf_seconds[k] = client.last_train_seconds();
+      leaf_seconds[k] = client.train_seconds(shard_model[e].round);
       leaf_loss[k] = leg.update.train_loss;
       // Straggler delay is virtual time, as in SyncDriver.
       if (leaf_seconds[k] * 1e3 + leg.delay_ms > cfg_.round_deadline_ms) {

@@ -12,6 +12,7 @@
 #include "common/error.hpp"
 #include "metrics/timer.hpp"
 #include "nn/activation.hpp"
+#include "nn/gates.hpp"
 #include "nn/quant.hpp"
 #include "runtime/workspace.hpp"
 
@@ -19,6 +20,9 @@ namespace evfl::forecast {
 
 namespace {
 
+using nn::mul_add;
+using nn::sigmoid_gate;
+using nn::tanh_gate;
 using tensor::ConstMatView;
 using tensor::MatView;
 
@@ -35,97 +39,6 @@ std::size_t roundup(std::size_t n, std::size_t m) {
   return (n + m - 1) / m * m;
 }
 
-// ---------------------------------------------------------------------
-// Fast gate nonlinearities (every score, fp32 and int8).
-//
-// At the paper shape the scalar expf/tanh gate math costs more than the
-// recurrent matmul itself, so the engine evaluates tanh as a
-// clamped odd rational P13(x)/Q6(x) (the classic single-precision
-// minimax fit used by several inference runtimes; |err| is a few float
-// ulp across the clamp range) and sigmoid via the tanh half-angle
-// identity.  SIMD lanes and the scalar tail evaluate the same Horner
-// forms, and a given gate column is always handled by the same form, so
-// results are deterministic and independent of row partitioning.
-// ---------------------------------------------------------------------
-
-constexpr float kTanhClamp = 7.90531110763549805f;
-constexpr float kTanhA1 = 4.89352455891786e-03f;
-constexpr float kTanhA3 = 6.37261928875436e-04f;
-constexpr float kTanhA5 = 1.48572235717979e-05f;
-constexpr float kTanhA7 = 5.12229709037114e-08f;
-constexpr float kTanhA9 = -8.60467152213735e-11f;
-constexpr float kTanhA11 = 2.00018790482477e-13f;
-constexpr float kTanhA13 = -2.76076847742355e-16f;
-constexpr float kTanhB0 = 4.89352518554385e-03f;
-constexpr float kTanhB2 = 2.26843463243900e-03f;
-constexpr float kTanhB4 = 1.18534705686654e-04f;
-constexpr float kTanhB6 = 1.19825839466702e-06f;
-
-inline float tanh_fast1(float x) {
-  x = std::clamp(x, -kTanhClamp, kTanhClamp);
-  const float x2 = x * x;
-  float p = kTanhA13;
-  p = p * x2 + kTanhA11;
-  p = p * x2 + kTanhA9;
-  p = p * x2 + kTanhA7;
-  p = p * x2 + kTanhA5;
-  p = p * x2 + kTanhA3;
-  p = p * x2 + kTanhA1;
-  float q = kTanhB6;
-  q = q * x2 + kTanhB4;
-  q = q * x2 + kTanhB2;
-  q = q * x2 + kTanhB0;
-  return (p * x) / q;
-}
-
-inline float sigmoid_fast1(float x) {
-  return 0.5f * tanh_fast1(0.5f * x) + 0.5f;
-}
-
-#if defined(__AVX2__)
-
-inline __m256 poly_step(__m256 p, __m256 x2, float c) {
-#if defined(__FMA__)
-  return _mm256_fmadd_ps(p, x2, _mm256_set1_ps(c));
-#else
-  return _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(c));
-#endif
-}
-
-inline __m256 mul_add(__m256 a, __m256 b, __m256 c) {
-#if defined(__FMA__)
-  return _mm256_fmadd_ps(a, b, c);
-#else
-  return _mm256_add_ps(_mm256_mul_ps(a, b), c);
-#endif
-}
-
-inline __m256 tanh_fast8(__m256 x) {
-  const __m256 clamp = _mm256_set1_ps(kTanhClamp);
-  x = _mm256_max_ps(_mm256_min_ps(x, clamp),
-                    _mm256_sub_ps(_mm256_setzero_ps(), clamp));
-  const __m256 x2 = _mm256_mul_ps(x, x);
-  __m256 p = _mm256_set1_ps(kTanhA13);
-  p = poly_step(p, x2, kTanhA11);
-  p = poly_step(p, x2, kTanhA9);
-  p = poly_step(p, x2, kTanhA7);
-  p = poly_step(p, x2, kTanhA5);
-  p = poly_step(p, x2, kTanhA3);
-  p = poly_step(p, x2, kTanhA1);
-  __m256 q = _mm256_set1_ps(kTanhB6);
-  q = poly_step(q, x2, kTanhB4);
-  q = poly_step(q, x2, kTanhB2);
-  q = poly_step(q, x2, kTanhB0);
-  return _mm256_div_ps(_mm256_mul_ps(p, x), q);
-}
-
-inline __m256 sigmoid_fast8(__m256 x) {
-  const __m256 half = _mm256_set1_ps(0.5f);
-  return mul_add(half, tanh_fast8(_mm256_mul_ps(half, x)), half);
-}
-
-#endif  // __AVX2__
-
 /// Fused gate activation + cell update for one row: reads the four gate
 /// segments of z (pre-activations), updates c and h in place.  One pass,
 /// no intermediate gate writes.  c = σ(f)·c + σ(i)·tanh(g);
@@ -140,14 +53,14 @@ float fused_gates_cell(const float* zr, float* cs, float* hs, std::size_t h) {
   const __m256 signmask = _mm256_set1_ps(-0.0f);
   __m256 hm = _mm256_setzero_ps();
   for (; k + 8 <= h; k += 8) {
-    const __m256 gi = sigmoid_fast8(_mm256_loadu_ps(zr + k));
-    const __m256 gf = sigmoid_fast8(_mm256_loadu_ps(zr + h + k));
-    const __m256 gg = tanh_fast8(_mm256_loadu_ps(zr + 2 * h + k));
-    const __m256 go = sigmoid_fast8(_mm256_loadu_ps(zr + 3 * h + k));
+    const __m256 gi = sigmoid_gate(_mm256_loadu_ps(zr + k));
+    const __m256 gf = sigmoid_gate(_mm256_loadu_ps(zr + h + k));
+    const __m256 gg = tanh_gate(_mm256_loadu_ps(zr + 2 * h + k));
+    const __m256 go = sigmoid_gate(_mm256_loadu_ps(zr + 3 * h + k));
     const __m256 c =
         mul_add(gf, _mm256_loadu_ps(cs + k), _mm256_mul_ps(gi, gg));
     _mm256_storeu_ps(cs + k, c);
-    const __m256 hv = _mm256_mul_ps(go, tanh_fast8(c));
+    const __m256 hv = _mm256_mul_ps(go, tanh_gate(c));
     _mm256_storeu_ps(hs + k, hv);
     if constexpr (kTrackMax) {
       hm = _mm256_max_ps(hm, _mm256_andnot_ps(signmask, hv));
@@ -160,13 +73,13 @@ float fused_gates_cell(const float* zr, float* cs, float* hs, std::size_t h) {
   }
 #endif
   for (; k < h; ++k) {
-    const float gi = sigmoid_fast1(zr[k]);
-    const float gf = sigmoid_fast1(zr[h + k]);
-    const float gg = tanh_fast1(zr[2 * h + k]);
-    const float go = sigmoid_fast1(zr[3 * h + k]);
-    const float c = gf * cs[k] + gi * gg;
+    const float gi = sigmoid_gate(zr[k]);
+    const float gf = sigmoid_gate(zr[h + k]);
+    const float gg = tanh_gate(zr[2 * h + k]);
+    const float go = sigmoid_gate(zr[3 * h + k]);
+    const float c = mul_add(gf, cs[k], gi * gg);
     cs[k] = c;
-    const float hv = go * tanh_fast1(c);
+    const float hv = go * tanh_gate(c);
     hs[k] = hv;
     if constexpr (kTrackMax) hmax = std::max(hmax, std::fabs(hv));
   }

@@ -20,14 +20,14 @@
 //    counters into an optional obs::Registry.
 //
 // Determinism: one kernel path per precision, for every batch size.  fp32
-// runs fused z-init, the packed-panel recurrent GEMM and a vectorized
-// rational tanh/sigmoid (|err| ~1e-7; scalar expf/tanh would be ~60% of
-// forward time at the paper shape); int8 runs the u8×s7 integer kernel
-// with the same gates.  A row therefore agrees with the training-path
-// Sequential::predict to ~1e-5, not bitwise.  A row's result depends only
-// on its own data and the precision — never on batch size or composition
-// (a batch of 1 included) or thread schedule: rows are independent,
-// output order is index order, and serial == pool-parallel bitwise.
+// runs fused z-init, the packed-panel recurrent GEMM and the nn/gates.hpp
+// rational tanh/sigmoid that training evaluates too; int8 runs the u8×s7
+// integer kernel with the same gates.  An fp32 row therefore agrees with
+// the training-path Sequential::predict bit for bit.  A row's result
+// depends only on its own data and the precision — never on batch size or
+// composition (a batch of 1 included) or thread schedule: rows are
+// independent, output order is index order, and serial == pool-parallel
+// bitwise.
 #pragma once
 
 #include <atomic>

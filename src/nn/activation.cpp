@@ -1,8 +1,7 @@
 #include "nn/activation.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
+#include "nn/gates.hpp"
 
 namespace evfl::nn {
 
@@ -16,22 +15,12 @@ std::string to_string(Activation a) {
   return "?";
 }
 
-float sigmoidf(float x) {
-  // Branch on sign for numerical stability at large |x|.
-  if (x >= 0.0f) {
-    const float z = std::exp(-x);
-    return 1.0f / (1.0f + z);
-  }
-  const float z = std::exp(x);
-  return z / (1.0f + z);
-}
-
 float apply_activation(Activation a, float x) {
   switch (a) {
     case Activation::kLinear: return x;
     case Activation::kRelu: return x > 0.0f ? x : 0.0f;
-    case Activation::kTanh: return std::tanh(x);
-    case Activation::kSigmoid: return sigmoidf(x);
+    case Activation::kTanh: return tanh_gate(x);
+    case Activation::kSigmoid: return sigmoid_gate(x);
   }
   EVFL_ASSERT(false, "unknown activation");
   return 0.0f;
@@ -49,8 +38,10 @@ float activation_grad_from_output(Activation a, float y) {
 }
 
 void apply_activation(Activation a, tensor::Matrix& m) {
-  if (a == Activation::kLinear) return;
   float* p = m.data();
+  if (a == Activation::kLinear) return;
+  if (a == Activation::kTanh) return tanh_gates(p, m.size());
+  if (a == Activation::kSigmoid) return sigmoid_gates(p, m.size());
   for (std::size_t i = 0; i < m.size(); ++i) p[i] = apply_activation(a, p[i]);
 }
 

@@ -1,4 +1,5 @@
-// Scalar activation functions and their derivatives.
+// Activation functions and their derivatives.  tanh and sigmoid are the
+// shared LSTM gates of nn/gates.hpp.
 #pragma once
 
 #include <string>
@@ -19,7 +20,5 @@ float activation_grad_from_output(Activation a, float y);
 
 /// Apply in place over a whole matrix.
 void apply_activation(Activation a, tensor::Matrix& m);
-
-float sigmoidf(float x);
 
 }  // namespace evfl::nn

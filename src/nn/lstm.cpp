@@ -1,8 +1,6 @@
 #include "nn/lstm.hpp"
 
-#include <cmath>
-
-#include "nn/activation.hpp"
+#include "nn/gates.hpp"
 #include "tensor/init.hpp"
 
 namespace evfl::nn {
@@ -83,9 +81,9 @@ Tensor3 Lstm::forward(const Tensor3& input, bool /*training*/) {
 
     for (std::size_t r = 0; r < n; ++r) {
       float* zrow = sc.z.row(r);
-      for (std::size_t c = 0; c < 2 * h; ++c) zrow[c] = sigmoidf(zrow[c]);
-      for (std::size_t c = 2 * h; c < 3 * h; ++c) zrow[c] = std::tanh(zrow[c]);
-      for (std::size_t c = 3 * h; c < 4 * h; ++c) zrow[c] = sigmoidf(zrow[c]);
+      sigmoid_gates(zrow, 2 * h);      // i | f
+      tanh_gates(zrow + 2 * h, h);     // g
+      sigmoid_gates(zrow + 3 * h, h);  // o
     }
 
     // c = f ⊙ c_prev + i ⊙ g ;  h = o ⊙ tanh(c)
@@ -100,7 +98,7 @@ Tensor3 Lstm::forward(const Tensor3& input, bool /*training*/) {
       }
     }
     sc.c_tanh = c_state_;
-    apply_activation(Activation::kTanh, sc.c_tanh);
+    tanh_gates(sc.c_tanh.data(), sc.c_tanh.size());
     for (std::size_t r = 0; r < n; ++r) {
       const float* zo = sc.z.row(r) + 3 * h;
       const float* ct = sc.c_tanh.row(r);

@@ -4,7 +4,8 @@
 // pre-activation Z = x·Wx + h·Wh + b of width 4*hidden.  The forget-gate
 // bias initializes to 1 (standard remedy for early vanishing memory), the
 // input kernel is Glorot uniform, and the recurrent kernel is per-gate
-// orthogonal — the same recipe Keras uses for the paper's models.
+// orthogonal — the same recipe Keras uses for the paper's models.  The
+// gates are nn/gates.hpp's σ/tanh, the ones forecast::Engine serves with.
 #pragma once
 
 #include <vector>

@@ -21,8 +21,6 @@ void* pool_allocate(std::size_t bytes) {
   return ::operator new(bytes == 0 ? 1 : bytes);
 }
 void pool_deallocate(void* p, std::size_t) noexcept { ::operator delete(p); }
-PoolStats pool_stats() { return {}; }
-void pool_trim() {}
 
 #else
 
@@ -36,7 +34,6 @@ constexpr std::size_t kMaxBlocksPerBucket = 64;
 
 struct FreeLists {
   std::unordered_map<std::size_t, std::vector<void*>> buckets;
-  PoolStats stats;
 
   ~FreeLists() {
     for (auto& [size, blocks] : buckets) {
@@ -61,13 +58,9 @@ void* pool_allocate(std::size_t bytes) {
     if (it != fl.buckets.end() && !it->second.empty()) {
       void* p = it->second.back();
       it->second.pop_back();
-      ++fl.stats.hits;
-      --fl.stats.parked;
-      fl.stats.parked_bytes -= bytes;
       return p;
     }
   }
-  ++fl.stats.misses;
   return ::operator new(bytes);
 }
 
@@ -82,26 +75,12 @@ void pool_deallocate(void* p, std::size_t bytes) noexcept {
       // falls through to a plain free.
       try {
         bucket.push_back(p);
-        ++fl.stats.parked;
-        fl.stats.parked_bytes += bytes;
         return;
       } catch (...) {
       }
     }
   }
   ::operator delete(p);
-}
-
-PoolStats pool_stats() { return lists().stats; }
-
-void pool_trim() {
-  FreeLists& fl = lists();
-  for (auto& [size, blocks] : fl.buckets) {
-    for (void* p : blocks) ::operator delete(p);
-    fl.stats.parked -= blocks.size();
-    fl.stats.parked_bytes -= size * blocks.size();
-    blocks.clear();
-  }
 }
 
 #endif  // EVFL_TENSOR_POOL_DISABLED

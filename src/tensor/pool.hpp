@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace evfl::tensor {
@@ -30,20 +29,6 @@ void* pool_allocate(std::size_t bytes);
 /// Return a block to the calling thread's pool (or the heap if the bucket
 /// is full or the block is oversized).
 void pool_deallocate(void* p, std::size_t bytes) noexcept;
-
-struct PoolStats {
-  std::uint64_t hits = 0;      // allocations served from the free list
-  std::uint64_t misses = 0;    // allocations that fell through to the heap
-  std::uint64_t parked = 0;    // blocks currently held by the pool
-  std::uint64_t parked_bytes = 0;
-};
-
-/// Statistics of the calling thread's pool (always zero when the pool is
-/// compiled out under sanitizers).
-PoolStats pool_stats();
-
-/// Release every parked block of the calling thread back to the heap.
-void pool_trim();
 
 template <typename T>
 struct PoolAllocator {

@@ -65,7 +65,8 @@ TEST(Client, TrainRoundAdoptsGlobalAndImproves) {
   // Should have moved towards slope 2, bias 0.
   EXPECT_NEAR(u.weights[0], 2.0f, 0.5f);
   EXPECT_NEAR(u.weights[1], 0.0f, 0.3f);
-  EXPECT_GT(client.last_train_seconds(), 0.0);
+  EXPECT_GT(client.train_seconds(0), 0.0);
+  EXPECT_EQ(client.train_seconds(1), 0.0);  // did not train round 1
 }
 
 TEST(Client, ServeHandlesRoundsOverNetwork) {

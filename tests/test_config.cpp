@@ -19,6 +19,16 @@ void apply(ExperimentConfig& cfg, std::vector<std::string> args) {
   apply_cli_overrides(cfg, static_cast<int>(argv.size()), argv.data());
 }
 
+/// The message apply() throws with, or "" when it accepts `args`.
+std::string error_of(ExperimentConfig& cfg, std::vector<std::string> args) {
+  try {
+    apply(cfg, std::move(args));
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(CliOverrides, AppliesKnownKeys) {
   ExperimentConfig cfg;
   apply(cfg, {"--rounds", "7", "--epochs", "3", "--threads", "8",
@@ -184,13 +194,9 @@ TEST(CliOverrides, ThreadsCapEnforced) {
 
 TEST(CliOverrides, AppliesServingKnobs) {
   ExperimentConfig cfg;
-  EXPECT_EQ(cfg.serve_batch, 32u);     // paper batch size
-  EXPECT_EQ(cfg.serve_quant_bits, 0);  // fp32 snapshots by default
-  apply(cfg, {"--serve-batch", "128", "--serve-quant-bits", "8"});
+  EXPECT_EQ(cfg.serve_batch, 32u);  // paper batch size
+  apply(cfg, {"--serve-batch", "128"});
   EXPECT_EQ(cfg.serve_batch, 128u);
-  EXPECT_EQ(cfg.serve_quant_bits, 8);
-  apply(cfg, {"--serve-quant-bits", "0"});
-  EXPECT_EQ(cfg.serve_quant_bits, 0);
 }
 
 TEST(CliOverrides, RejectsBadServingKnobs) {
@@ -198,17 +204,20 @@ TEST(CliOverrides, RejectsBadServingKnobs) {
   // Range violations.
   EXPECT_THROW(apply(cfg, {"--serve-batch", "0"}), Error);
   EXPECT_THROW(apply(cfg, {"--serve-batch", "4097"}), Error);
-  EXPECT_THROW(apply(cfg, {"--serve-quant-bits", "4"}), Error);
-  EXPECT_THROW(apply(cfg, {"--serve-quant-bits", "16"}), Error);
   // Malformed tokens: prefix parses and negatives must throw, not truncate.
   EXPECT_THROW(apply(cfg, {"--serve-batch", "32x"}), Error);
   EXPECT_THROW(apply(cfg, {"--serve-batch", "-1"}), Error);
   EXPECT_THROW(apply(cfg, {"--serve-batch", "1.5"}), Error);
-  EXPECT_THROW(apply(cfg, {"--serve-quant-bits", "8.0"}), Error);
-  EXPECT_THROW(apply(cfg, {"--serve-quant-bits", "eight"}), Error);
   // validate-then-assign: a rejected value leaves the config untouched.
   EXPECT_EQ(cfg.serve_batch, 32u);
-  EXPECT_EQ(cfg.serve_quant_bits, 0);
+}
+
+TEST(CliOverrides, ServeQuantBitsIsUnknown) {
+  // The snapshot precision is chosen per Engine (EngineConfig), never by a
+  // global knob.
+  ExperimentConfig cfg;
+  EXPECT_EQ(error_of(cfg, {"--serve-quant-bits", "8"}),
+            "unknown option: --serve-quant-bits");
 }
 
 TEST(CliOverrides, RejectedThresholdPctLeavesThresholdUntouched) {
@@ -245,6 +254,22 @@ TEST(CliOverrides, UnknownKeyThrows) {
 TEST(CliOverrides, DanglingKeyThrows) {
   ExperimentConfig cfg;
   EXPECT_THROW(apply(cfg, {"--rounds"}), Error);
+}
+
+TEST(CliOverrides, LoneUnknownKeyReportsUnknownOption) {
+  // A bare-switch typo such as --check-alloc is named, not reported as an
+  // odd argument count.
+  ExperimentConfig cfg;
+  EXPECT_EQ(error_of(cfg, {"--check-alloc"}), "unknown option: --check-alloc");
+  EXPECT_EQ(error_of(cfg, {"--hours", "200", "--check-alloc"}),
+            "unknown option: --check-alloc");
+}
+
+TEST(CliOverrides, KnownKeyWithoutValueReportsMissingValue) {
+  ExperimentConfig cfg;
+  EXPECT_EQ(error_of(cfg, {"--rounds"}), "missing value for --rounds");
+  EXPECT_EQ(error_of(cfg, {"--hours", "200", "--cache-dir"}),
+            "missing value for --cache-dir");
 }
 
 TEST(CliOverrides, SeedAlsoReseedsGenerator) {

@@ -5,6 +5,7 @@
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
 #include "nn/dense.hpp"
+#include "obs/round_telemetry.hpp"
 
 namespace evfl::fl {
 namespace {
@@ -279,28 +280,43 @@ TEST(SyncDriver, StragglerDelayIsNotTrainingTime) {
 TEST(Drivers, SyncAndThreadedAgreeUnderFaults) {
   // Client 1 crashes from round 2 on, client 2's update is NaN-poisoned from
   // round 1 on.  Both flat drivers run the same client leg and the same
-  // deadline rule, so they must count the same outcomes and land on the
-  // bit-identical model.
+  // deadline rule, so they must count the same outcomes, report training
+  // seconds for the same clients (0 for one that did not train the round)
+  // and land on the bit-identical model.
   faults::FaultPlan plan;
   plan.crash(1, 2);
   plan.corrupt(2, faults::CorruptionMode::kNaN, 1);
   RoundPolicy policy;
   policy.round_deadline_ms = 1000.0;
+  obs::RoundTelemetrySink sync_sink;
+  obs::RoundTelemetrySink threaded_sink;
   auto run = [&](bool threaded) {
     auto clients = make_clients(32, 17);
     Server server({0.0f, 0.0f});
     InMemoryNetwork net;
     const faults::FaultInjector injector(plan, 5);
     if (threaded) {
-      return ThreadedDriver(server, clients, net, nullptr, &injector, policy)
+      return ThreadedDriver(server, clients, net, nullptr, &injector, policy,
+                            &threaded_sink)
           .run(4);
     }
-    return SyncDriver(server, clients, net, nullptr, &injector, policy).run(4);
+    return SyncDriver(server, clients, net, nullptr, &injector, policy,
+                      &sync_sink)
+        .run(4);
   };
   const FederatedRunResult sync = run(false);
   const FederatedRunResult threaded = run(true);
   ASSERT_EQ(sync.rounds.size(), 4u);
   ASSERT_EQ(threaded.rounds.size(), 4u);
+  const std::vector<obs::RoundTelemetry> sync_rt = sync_sink.rounds();
+  const std::vector<obs::RoundTelemetry> threaded_rt = threaded_sink.rounds();
+  ASSERT_EQ(sync_rt.size(), 4u);
+  ASSERT_EQ(threaded_rt.size(), 4u);
+  const auto trained = [](const obs::RoundTelemetry& rt) {
+    std::vector<bool> slots;
+    for (const double s : rt.client_train_seconds) slots.push_back(s > 0.0);
+    return slots;
+  };
   for (std::size_t r = 0; r < 4; ++r) {
     SCOPED_TRACE(r);
     EXPECT_EQ(sync.rounds[r].updates_received,
@@ -309,7 +325,10 @@ TEST(Drivers, SyncAndThreadedAgreeUnderFaults) {
               threaded.rounds[r].rejected_updates);
     EXPECT_EQ(sync.rounds[r].timed_out_clients,
               threaded.rounds[r].timed_out_clients);
+    EXPECT_EQ(trained(sync_rt[r]), trained(threaded_rt[r]));
   }
+  // The crashed client trained in no round from its crash on.
+  EXPECT_EQ(trained(sync_rt[3]), (std::vector<bool>{true, false, true}));
   // The faults really fired: a rejection in round 1, a timeout in round 3.
   EXPECT_EQ(sync.rounds[1].rejected_updates, 1u);
   EXPECT_EQ(sync.rounds[3].timed_out_clients, 1u);

@@ -71,7 +71,7 @@ TEST(Engine, BatchOfOneBitIdenticalToWideRows) {
       EXPECT_EQ(one, all[i]) << to_string(precision) << " row " << i;
       if (precision == ServePrecision::kFp32) {
         const Tensor3 want = model.predict(x.batch_slice(i, i + 1));
-        EXPECT_NEAR(one, want(0, 0, 0), 1e-4) << "row " << i;
+        EXPECT_EQ(one, want(0, 0, 0)) << "row " << i;
       }
     }
   }
@@ -92,12 +92,13 @@ TEST(Engine, WideBatchRowsTrackPredictClosely) {
   engine.score(x, got);
   ASSERT_EQ(got.size(), batch);
 
-  // The engine runs vectorized rational gates, so rows agree with the
-  // training-path predict to ~1e-5, not bitwise.
+  // The engine and the training-path predict evaluate the same
+  // nn/gates.hpp gates and accumulate each GEMM element in the same
+  // ascending-k order, so fp32 rows agree bitwise.
   for (std::size_t i = 0; i < batch; ++i) {
     const Tensor3 xi = x.batch_slice(i, i + 1);
     const Tensor3 want = model.predict(xi);
-    EXPECT_NEAR(got[i], want(0, 0, 0), 1e-4) << "row " << i;
+    EXPECT_EQ(got[i], want(0, 0, 0)) << "row " << i;
   }
 }
 
