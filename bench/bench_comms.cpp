@@ -1,4 +1,4 @@
-// Microbench + scenario parity check for the wire v2 comms path:
+// Microbench + scenario parity check for the federated wire codecs:
 //
 //   1. serialize/deserialize throughput per codec at the paper's forecaster
 //      dimension and at a large synthetic dimension, plus *heap allocations
@@ -131,7 +131,7 @@ CodecBench bench_codec(const std::string& name, const fl::CodecConfig& cfg,
   b.serialize = measure(warmup, iters,
                         [&] { encoder.encode(update, reference, wire); });
   b.wire_bytes = wire.size();
-  b.dense_bytes = fl::kWireHeaderBytesV1 + dim * sizeof(float);
+  b.dense_bytes = fl::dense_message_bytes(dim);
 
   fl::WeightUpdate decoded;
   b.deserialize = measure(warmup, iters, [&] {
@@ -157,7 +157,7 @@ CodecBench bench_broadcast(std::size_t dim, std::size_t warmup,
     fl::encode_global(/*round=*/3, weights, cfg, wire);
   });
   b.wire_bytes = wire.size();
-  b.dense_bytes = fl::kWireHeaderBytesV1 + dim * sizeof(float);
+  b.dense_bytes = fl::dense_message_bytes(dim);
 
   fl::GlobalModel decoded;
   b.deserialize = measure(warmup, iters, [&] {
@@ -317,7 +317,7 @@ int main(int argc, char** argv) {
   const std::size_t warmup = check_allocs ? 3 : 10;
   const std::size_t iters = check_allocs ? 5 : 200;
 
-  std::printf("=== comms bench: wire v2 codecs ===\n");
+  std::printf("=== comms bench: wire codecs ===\n");
   std::printf("-- update messages, forecaster dim (%zu params) --\n",
               forecaster_dim);
   const std::vector<CodecBench> small =
@@ -355,7 +355,7 @@ int main(int argc, char** argv) {
   std::printf("\n=== Table III federated scenario: dense vs topk_q ===\n");
   std::printf("config: %s\n", core::describe(cfg).c_str());
 
-  fl::CodecConfig dense_codec;  // lossless v1 default
+  fl::CodecConfig dense_codec;  // lossless kDense default
   fl::CodecConfig topk_codec = cfg.codec;
   topk_codec.kind = fl::CodecKind::kTopKQuant;
 

@@ -26,8 +26,8 @@ struct ExperimentConfig {
   /// Adaptive adversary simulated inside the protocol (default: none).
   /// `fedavg.rule` picks the aggregation defense.
   fl::AdversaryConfig attack;
-  /// Wire codec for the federated comms path (default kDense: lossless v1
-  /// bytes, bit-identical results to the uncompressed path).
+  /// Wire codec for the federated comms path (default kDense: uncompressed
+  /// fp32 payloads, lossless).
   fl::CodecConfig codec;
 
   std::size_t federated_rounds = 5;        // FEDERATED_ROUNDS

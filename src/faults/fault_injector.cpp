@@ -134,14 +134,6 @@ bool FaultInjector::should_replay_stale(int client, std::uint32_t round) const {
   return false;
 }
 
-bool FaultInjector::may_replay_stale(int client) const {
-  for (const FaultRule& rule : plan_.rules()) {
-    if (rule.kind != FaultKind::kStaleReplay) continue;
-    if (rule.client == kAllClients || rule.client == client) return true;
-  }
-  return false;
-}
-
 FaultStats FaultInjector::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;

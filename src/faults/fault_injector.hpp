@@ -53,11 +53,6 @@ class FaultInjector {
   /// fresh one?
   bool should_replay_stale(int client, std::uint32_t round) const;
 
-  /// Could any stale-replay rule ever fire for `client` (any round, any
-  /// probability)?  Pure plan inspection — no stats, no Bernoulli draw.
-  /// Lets senders skip retaining previous payloads when no rule wants them.
-  bool may_replay_stale(int client) const;
-
   FaultStats stats() const;
   void reset_stats();
 

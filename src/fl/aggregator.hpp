@@ -4,17 +4,19 @@
 //
 // Aggregator is the reusable node: it holds a weight vector, gates incoming
 // updates through the round's validator rules, folds accepted updates into
-// an exact fixed-point accumulator as they arrive (O(dim) memory — nothing
-// buffers the raw updates), and advances the round on close.  fl::Server is
-// now a thin alias for the root of a one-level tree.
+// the round's RoundFold as they arrive (under kMean an exact fixed-point
+// accumulator, O(dim) memory — nothing buffers the raw updates), and
+// advances the round on close.  fl::Server is now a thin alias for the root
+// of a one-level tree.
 //
-// Under a Byzantine-robust FedAvgConfig::rule the node switches to a
+// Under a Byzantine-robust FedAvgConfig::rule the fold switches to a
 // bounded buffering mode: leaf updates (decoded to dense by the codec
 // layer, so robustness composes with top-k/quantized wire formats) are
-// buffered up to robust_buffer_cap and reduced order-statistically at
+// buffered up to kRobustBufferCap and reduced order-statistically at
 // close; forwarded shard aggregates — already robust at their own tier —
 // keep folding into the exact accumulator, and the two components combine
-// by total FedAvg weight ("robust-per-shard, fold upstream").
+// by total FedAvg weight ("robust-per-shard, fold upstream").  RoundFold
+// (fl/fedavg.hpp) owns that routing; fed_avg runs the same fold.
 //
 // EdgeAggregator is simultaneously a server to its shard of clients and a
 // client to its parent: adopt the parent's broadcast, serve the shard,
@@ -44,7 +46,7 @@ class Aggregator {
   std::uint32_t round() const { return round_; }
   const std::vector<float>& weights() const { return weights_; }
   const CodecConfig& codec() const { return codec_; }
-  AggregationRule rule() const { return cfg_.rule; }
+  AggregationRule rule() const { return fold_.config().rule; }
 
   /// The broadcast for the current round.
   GlobalModel broadcast() const;
@@ -83,13 +85,13 @@ class Aggregator {
 
   // Post-close views of what the round accumulated (what an EdgeAggregator
   // forwards upstream).  Valid until the next offer()/adopt().
-  const FedAccumulator& accumulated() const { return accum_; }
+  const FedAccumulator& accumulated() const { return fold_.exact(); }
   std::uint64_t accepted_samples() const { return samples_accum_; }
   /// Leaves covered this round, across both the exact accumulator and the
   /// robust buffer (equals accumulated().contributors() under kMean).
-  std::uint64_t accepted_contributors() const;
+  std::uint64_t accepted_contributors() const { return fold_.contributors(); }
   /// Total FedAvg weight folded + buffered this round.
-  std::uint64_t accepted_weight() const;
+  std::uint64_t accepted_weight() const { return fold_.total_weight(); }
   /// Fold-weighted mean train loss of the accepted updates.
   float accepted_loss() const;
 
@@ -97,7 +99,6 @@ class Aggregator {
   void open_round();
 
   std::vector<float> weights_;
-  FedAvgConfig cfg_;
   UpdateValidator validator_;
   CodecConfig codec_;
   RoundAudit last_audit_;
@@ -107,12 +108,10 @@ class Aggregator {
   bool has_lossy_reference_ = false;
 
   std::optional<RoundGate> gate_;        // engaged while a round is open
-  FedAccumulator accum_;
-  RobustBuffer robust_buf_;              // leaf buffer under robust rules
+  RoundFold fold_;                       // the open (or last closed) round
   std::uint64_t samples_accum_ = 0;
   double loss_accum_ = 0.0;              // Σ fold_weight * train_loss
-  std::vector<float> next_scratch_;      // close_round mean target
-  std::vector<float> robust_scratch_;    // robust-reduction target
+  std::vector<float> next_scratch_;      // close_round result target
 };
 
 /// One interior node of an aggregation tree: a server to its shard, a

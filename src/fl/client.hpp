@@ -6,6 +6,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "faults/fault_injector.hpp"
 #include "fl/adversary.hpp"
@@ -30,7 +31,7 @@ struct ClientConfig {
   std::size_t epochs_per_round = 10;   // paper: EPOCHS_PER_ROUND = 10
   std::size_t batch_size = 32;
   float learning_rate = 1e-3f;
-  /// Wire codec for this client's uploads (kDense = lossless v1 bytes).
+  /// Wire codec for this client's uploads (kDense = uncompressed fp32).
   CodecConfig codec{};
 };
 
@@ -110,10 +111,11 @@ class Client {
         inj->should_replay_stale(id_, update.round)) {
       send(last_upload_);
     }
-    const std::vector<std::uint8_t>& bytes = encode_update(update, reference);
-    // A payload-sized copy per round, so only when a replay can want it.
-    if (inj != nullptr && inj->may_replay_stale(id_)) last_upload_ = bytes;
-    return send(bytes);
+    const bool delivered = send(encode_update(update, reference));
+    // Keep these bytes for a later replay.  The swap hands the older buffer
+    // back to the encoder, so keeping them costs no copy.
+    std::swap(last_upload_, wire_buf_);
+    return delivered;
   }
 
   /// Threaded-mode service loop: for each of `rounds`, wait for a

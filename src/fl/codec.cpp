@@ -13,41 +13,8 @@ namespace evfl::fl {
 
 namespace {
 
+using wire_detail::Header;
 using wire_detail::Writer;
-
-/// Header through the CRC field; returns the byte position of the CRC so it
-/// can be patched once the payload is assembled.  `agg_leaves` is the
-/// saturated leaf count behind a forwarded aggregate mean (0 for leaf
-/// updates and broadcasts) — see the agg_leaves field in serialize.hpp.
-std::size_t write_v2_header(Writer& w, MessageKind kind, std::uint32_t round,
-                            std::int32_t client, std::uint64_t samples,
-                            float loss, CodecKind codec, int quant_bits,
-                            std::uint64_t dim, std::uint64_t nnz,
-                            std::uint16_t agg_leaves = 0) {
-  w.put(kWireMagic);
-  w.put(kWireVersion2);
-  w.put(static_cast<std::uint16_t>(kind));
-  w.put(round);
-  w.put(client);
-  w.put(samples);
-  w.put(loss);
-  w.put(static_cast<std::uint8_t>(codec));
-  w.put(static_cast<std::uint8_t>(quant_bits));
-  w.put(agg_leaves);
-  w.put(dim);
-  w.put(nnz);
-  const std::size_t crc_pos = w.pos();
-  w.put(std::uint32_t{0});  // CRC placeholder
-  return crc_pos;
-}
-
-/// Saturate a contributor count into the u16 header field.  65535 already
-/// far exceeds any single shard's fan-out; the exact count rides in the
-/// kAggSum payload when exactness matters.
-std::uint16_t saturate_leaves(std::uint64_t contributors) {
-  return contributors > 0xFFFFu ? std::uint16_t{0xFFFFu}
-                                : static_cast<std::uint16_t>(contributors);
-}
 
 // Block quantization itself (per-block scale + codes) is shared with the
 // serving engine's weight freezing — nn::block_quantize / nn::dequantize in
@@ -97,7 +64,7 @@ CodecKind parse_codec_kind(const std::string& name) {
 }
 
 bool broadcast_is_lossy(const CodecConfig& cfg) {
-  return cfg.kind == CodecKind::kTopKQuant && cfg.quantize_broadcast;
+  return cfg.kind == CodecKind::kTopKQuant;
 }
 
 UpdateEncoder::UpdateEncoder(CodecConfig cfg) : cfg_(cfg) {
@@ -119,25 +86,7 @@ void UpdateEncoder::encode(const WeightUpdate& update,
                            const std::vector<float>& reference,
                            std::vector<std::uint8_t>& out) {
   if (cfg_.kind == CodecKind::kDense) {
-    if (update.agg_contributors == 0) {
-      serialize_into(update, out);
-      return;
-    }
-    // A forwarded aggregate mean (a robust shard reduction has no exact
-    // kAggSum to ship) needs the v2 agg_leaves field so the parent folds it
-    // as an aggregate instead of re-buffering it as one leaf vote.
-    const std::size_t dense_dim = update.weights.size();
-    out.clear();
-    Writer w(out);
-    const std::size_t crc_pos = write_v2_header(
-        w, MessageKind::kWeightUpdate, update.round, update.client_id,
-        update.sample_count, update.train_loss, CodecKind::kDense,
-        /*quant_bits=*/0, dense_dim, dense_dim,
-        saturate_leaves(update.agg_contributors));
-    const std::size_t payload_pos = w.pos();
-    w.put_floats(update.weights.data(), dense_dim);
-    w.patch_u32(crc_pos,
-                crc32(out.data() + payload_pos, out.size() - payload_pos));
+    serialize_into(update, out);
     return;
   }
   const std::size_t dim = update.weights.size();
@@ -160,8 +109,12 @@ void UpdateEncoder::encode(const WeightUpdate& update,
     finite = finite && std::isfinite(d);
   }
 
-  out.clear();
-  Writer w(out);
+  // Header fields shared by every payload below; codec, quant_bits and nnz
+  // are per branch.
+  Header h{MessageKind::kWeightUpdate, update.round, update.client_id,
+           update.sample_count, update.train_loss, CodecKind::kDelta,
+           /*quant_bits=*/0,
+           wire_detail::saturate_leaves(update.agg_contributors), dim, dim};
 
   // A non-finite delta cannot be ranked by magnitude (NaN breaks the
   // selection ordering) and must reach the validator untouched, so it ships
@@ -169,15 +122,7 @@ void UpdateEncoder::encode(const WeightUpdate& update,
   // update will be rejected server-side and this client's state should not
   // absorb its garbage.
   if (cfg_.kind == CodecKind::kDelta || !finite) {
-    const std::size_t crc_pos = write_v2_header(
-        w, MessageKind::kWeightUpdate, update.round, update.client_id,
-        update.sample_count, update.train_loss, CodecKind::kDelta,
-        /*quant_bits=*/0, dim, dim,
-        saturate_leaves(update.agg_contributors));
-    const std::size_t payload_pos = w.pos();
-    w.put_floats(delta_.data(), dim);
-    w.patch_u32(crc_pos,
-                crc32(out.data() + payload_pos, out.size() - payload_pos));
+    wire_detail::write_float_message(out, h, delta_.data());
     return;
   }
 
@@ -202,11 +147,11 @@ void UpdateEncoder::encode(const WeightUpdate& update,
 
   const bool quantized = cfg_.kind == CodecKind::kTopKQuant;
   const int bits = quantized ? cfg_.quant_bits : 0;
-  const std::size_t crc_pos = write_v2_header(
-      w, MessageKind::kWeightUpdate, update.round, update.client_id,
-      update.sample_count, update.train_loss, cfg_.kind, bits, dim, k,
-      saturate_leaves(update.agg_contributors));
-  const std::size_t payload_pos = w.pos();
+  h.codec = cfg_.kind;
+  h.quant_bits = bits;
+  h.nnz = k;
+  wire_detail::write_header(out, h);
+  Writer w(out);
   w.put_bytes(reinterpret_cast<const std::uint8_t*>(index_.data()),
               k * sizeof(std::uint32_t));
   if (quantized) {
@@ -215,8 +160,7 @@ void UpdateEncoder::encode(const WeightUpdate& update,
   } else {
     w.put_floats(gathered_.data(), k);
   }
-  w.patch_u32(crc_pos,
-              crc32(out.data() + payload_pos, out.size() - payload_pos));
+  wire_detail::seal_message(out);
 
   // Residual: everything the wire did not carry.  Unselected coordinates
   // keep their full delta; selected ones keep only the quantization error
@@ -233,27 +177,26 @@ void UpdateEncoder::encode(const WeightUpdate& update,
 
 void encode_global(std::uint32_t round, const std::vector<float>& weights,
                    const CodecConfig& cfg, std::vector<std::uint8_t>& out) {
+  const std::size_t dim = weights.size();
+  Header h{MessageKind::kGlobalModel, round, /*client=*/-1, /*samples=*/0,
+           /*loss=*/0.0f, CodecKind::kDense, /*quant_bits=*/0,
+           /*agg_leaves=*/0, dim, dim};
   if (!broadcast_is_lossy(cfg)) {
-    serialize_into(GlobalModel{round, weights}, out);
+    wire_detail::write_float_message(out, h, weights.data());
     return;
   }
   // Broadcast quantization is stateless (no error feedback possible — each
   // client must decode from this message alone) and always 8-bit.
   constexpr int kBits = 8;
-  const std::size_t dim = weights.size();
-  out.clear();
+  h.codec = CodecKind::kQuantDense;
+  h.quant_bits = kBits;
+  wire_detail::write_header(out, h);
   Writer w(out);
-  const std::size_t crc_pos =
-      write_v2_header(w, MessageKind::kGlobalModel, round, /*client=*/-1,
-                      /*samples=*/0, /*loss=*/0.0f, CodecKind::kQuantDense,
-                      kBits, dim, dim);
-  const std::size_t payload_pos = w.pos();
   static thread_local std::vector<float> scales;
   static thread_local std::vector<std::int8_t> quants;
   nn::block_quantize(weights.data(), dim, kBits, scales, quants);
   write_quantized(w, scales, quants, kBits);
-  w.patch_u32(crc_pos,
-              crc32(out.data() + payload_pos, out.size() - payload_pos));
+  wire_detail::seal_message(out);
 }
 
 }  // namespace evfl::fl

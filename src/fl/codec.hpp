@@ -1,13 +1,14 @@
-// Pluggable compression codecs for the federated comms path ("wire v2").
+// Pluggable compression codecs for the federated comms path.  Every codec
+// shares the one wire header (fl/serialize.hpp); the codec field names the
+// payload encoding.
 //
 // The paper's federated design exchanges only model parameters, and at the
 // target scale the canonical FL bottleneck is exactly those bytes: a dense
 // fp32 exchange costs 2 x params x 4B x clients every round.  This layer
 // shrinks the exchange while keeping the round protocol unchanged:
 //
-//   kDense     — lossless fp32, byte-identical to wire v1 (the default; all
-//                scenario outputs stay bit-identical to the uncompressed
-//                path).
+//   kDense     — uncompressed fp32 absolute weights, exactly serialize_into's
+//                bytes (the default; lossless).
 //   kDelta     — clients ship `local - global` against the round's broadcast
 //                instead of absolute weights (same size, but the basis every
 //                lossy codec builds on, and useful for entropy-style
@@ -20,9 +21,10 @@
 //   kTopKQuant — kTopK plus block quantization of the surviving values
 //                (per-block fp32 scale over kQuantBlock values, int8 or int4
 //                payload).  Quantization error also feeds the residual.
-//                Under this codec the broadcast leg is block-quantized too
-//                (8-bit, stateless — a client that missed rounds can still
-//                decode), which is where the downlink 4x comes from.
+//                Under this codec the broadcast leg is always block-quantized
+//                too (8-bit, stateless — a client that missed rounds can
+//                still decode), which is where the downlink 4x comes from;
+//                every other codec broadcasts kDense.
 //
 // The encoder is client-side state (one residual vector per client).  The
 // server decodes updates to dense *delta* vectors (WeightUpdate::is_delta),
@@ -40,11 +42,10 @@
 
 namespace evfl::fl {
 
-/// Payload encodings that can appear in a v2 wire header.  kDense is never
-/// emitted as v2 (it keeps the v1 layout); kQuantDense is the broadcast-leg
-/// encoding and never carries an update.
+/// Payload encodings named by the wire header's codec field.  kQuantDense is
+/// the broadcast-leg encoding and never carries an update.
 enum class CodecKind : std::uint8_t {
-  kDense = 0,      // absolute fp32 weights (wire v1 layout)
+  kDense = 0,      // absolute fp32 weights, uncompressed
   kDelta = 1,      // dense fp32 delta vs the round's broadcast
   kTopK = 2,       // sparse top-k fp32 delta
   kTopKQuant = 3,  // sparse top-k block-quantized delta
@@ -67,10 +68,6 @@ struct CodecConfig {
   /// would perturb every client's starting point, uplink error is absorbed
   /// by the error-feedback residual.
   int quant_bits = 8;
-  /// Under kTopKQuant, also block-quantize the server's broadcast (the
-  /// downlink is half the round's bytes; without this the best possible
-  /// round-level ratio is 2x).
-  bool quantize_broadcast = true;
 };
 
 /// "dense" / "delta" / "topk" / "topk_q".
@@ -96,8 +93,8 @@ class UpdateEncoder {
 
   /// Serialize `update` for the wire into `out` (cleared and reused).
   /// `reference` is the round's broadcast weights as the client decoded
-  /// them — the base of the delta.  For kDense the output is byte-identical
-  /// to the v1 serialize(update).
+  /// them — the base of the delta.  For kDense the output is exactly
+  /// serialize_into(update) (the reference is unused).
   ///
   /// A non-finite delta (a Byzantine/corrupted update) is shipped as a
   /// dense kDelta payload instead of being sparsified: NaNs must reach the
@@ -124,14 +121,14 @@ class UpdateEncoder {
 };
 
 /// Serialize the round's broadcast under `cfg` into `out` (cleared and
-/// reused).  kTopKQuant with quantize_broadcast emits a v2 kQuantDense
-/// message (8-bit block quantization); every other codec emits the v1 dense
-/// layout byte-identically.
+/// reused).  kTopKQuant emits a kQuantDense message (8-bit block
+/// quantization, the downlink is half the round's bytes); every other codec
+/// emits exactly serialize_into's kDense bytes.
 void encode_global(std::uint32_t round, const std::vector<float>& weights,
                    const CodecConfig& cfg, std::vector<std::uint8_t>& out);
 
-/// True when `cfg` makes the broadcast leg lossy — the server must then
-/// track the decoded broadcast as the round's delta reference.
+/// True when `cfg` makes the broadcast leg lossy (kTopKQuant) — the server
+/// must then track the decoded broadcast as the round's delta reference.
 bool broadcast_is_lossy(const CodecConfig& cfg);
 
 }  // namespace evfl::fl

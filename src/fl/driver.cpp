@@ -122,12 +122,6 @@ RoundMetrics aggregate_arrivals(Server& server, std::uint32_t round,
   return m;
 }
 
-/// Dense-equivalent size of one message this round — the "logical" cost an
-/// uncompressed v1 exchange would have paid.
-std::uint64_t logical_message_bytes(const Server& server) {
-  return kWireHeaderBytesV1 + server.weights().size() * sizeof(float);
-}
-
 }  // namespace
 
 std::size_t FederatedRunResult::total_rejected_updates() const {
@@ -266,7 +260,8 @@ FederatedRunResult SyncDriver::run(std::size_t rounds) {
     // One wire encoding per round (codec-aware); every client receives a
     // copy of the same bytes, exactly like a real broadcast.
     const std::vector<std::uint8_t>& broadcast_wire = server_->broadcast_wire();
-    const std::uint64_t logical_msg_bytes = logical_message_bytes(*server_);
+    const std::uint64_t logical_msg_bytes =
+        dense_message_bytes(server_->weights().size());
 
     std::atomic<std::size_t> dropped{0};
     std::atomic<std::size_t> reached{0};
@@ -387,7 +382,8 @@ FederatedRunResult ThreadedDriver::run(std::size_t rounds) {
         select_sampled(policy_.sampling, round, ids);
     RoundRecorder recorder(ctx_, round, n, sampled.size());
     const std::vector<std::uint8_t>& broadcast_bytes = server_->broadcast_wire();
-    const std::uint64_t logical_msg_bytes = logical_message_bytes(*server_);
+    const std::uint64_t logical_msg_bytes =
+        dense_message_bytes(server_->weights().size());
     // One shared broadcast buffer for the whole cohort: every sampled
     // client's mailbox references the same refcounted payload, so the
     // round's downlink memory is O(1) in cohort size.

@@ -22,10 +22,10 @@ namespace evfl::fl {
 /// fixed-point path (grouping-invariant — the tree==flat guarantee).  The
 /// robust rules defend the aggregate against *colluding, within-norm-bound*
 /// model poisoning the validator cannot see: they buffer the round's
-/// decoded dense updates (bounded, see FedAvgConfig::robust_buffer_cap) and
-/// reduce them order-statistically at close.  Robustness is applied at the
-/// tier closest to the leaves; forwarded shard aggregates are folded by
-/// weighted mean upstream ("robust-per-shard, fold upstream").
+/// decoded dense updates (bounded, see kRobustBufferCap) and reduce them
+/// order-statistically at close.  Robustness is applied at the tier closest
+/// to the leaves; forwarded shard aggregates are folded by weighted mean
+/// upstream ("robust-per-shard, fold upstream").
 enum class AggregationRule : std::uint8_t {
   kMean = 0,             // exact weighted FedAvg (streaming, O(dim) memory)
   kTrimmedMean = 1,      // per-coordinate: drop the k extremes on each side
@@ -62,12 +62,14 @@ struct FedAvgConfig {
   std::size_t krum_assumed_byzantine = 0;
   /// kMultiKrum: how many lowest-score updates to average; 0 = n - f.
   std::size_t krum_select = 0;
-  /// Robust rules buffer at most this many updates per round (memory bound:
-  /// cap * dim floats, storage reused across rounds).  Overflow beyond the
-  /// cap is folded into the exact mean accumulator and combined at close —
-  /// the round degrades toward kMean rather than growing without bound.
-  std::size_t robust_buffer_cap = 1024;
 };
+
+/// Robust rules buffer at most this many leaf updates per round (memory
+/// bound: kRobustBufferCap * dim floats, storage reused across rounds).
+/// Leaves past the cap fold into the exact mean accumulator and combine at
+/// close — the round degrades toward kMean rather than growing without
+/// bound.
+inline constexpr std::size_t kRobustBufferCap = 1024;
 
 /// Magnitude cap applied to each weighted term before fixed-point conversion.
 /// 2^40 — far above any sane weight*samples product; keeps the per-term fixed
@@ -125,14 +127,14 @@ class FedAccumulator {
 /// a sample-count-weighted order statistic would let a single attacker
 /// inflate its rank mass by lying about samples, which is exactly the lever
 /// robustness is meant to remove.  Sample weights still decide how the
-/// robust result combines with any folded aggregates (see fed_avg below).
+/// robust result combines with any folded aggregates (see RoundFold below).
 class RobustBuffer {
  public:
   /// Start a fresh round over `dim`-element vectors, buffering at most
-  /// `cap` updates.
-  void reset(std::size_t dim, std::size_t cap);
+  /// kRobustBufferCap updates.
+  void reset(std::size_t dim);
 
-  bool full() const { return count_ >= cap_; }
+  bool full() const { return count_ >= kRobustBufferCap; }
   std::size_t count() const { return count_; }
   std::uint64_t total_weight() const { return total_weight_; }
   std::size_t dim() const { return dim_; }
@@ -157,7 +159,6 @@ class RobustBuffer {
                         std::vector<float>& out) const;
 
   std::size_t dim_ = 0;
-  std::size_t cap_ = 0;
   std::size_t count_ = 0;
   std::uint64_t total_weight_ = 0;
   std::vector<float> rows_;             // count_ x dim_, row-major, reused
@@ -169,17 +170,57 @@ class RobustBuffer {
   mutable std::vector<std::size_t> order_;
 };
 
-/// Aggregate client updates into the next global weight vector.
-/// All updates must agree on weight dimensionality; throws otherwise.
-/// Updates carrying `agg_terms` (forwarded partial aggregates) are folded
-/// exactly; their FedAvg weight is the cumulative `sample_count` (weighted
-/// mode) or `agg_contributors` (unweighted mode).
-///
-/// Under a robust rule, leaf updates are buffered and reduced
-/// order-statistically while forwarded aggregates (already robust at their
-/// own tier) are folded by exact mean; the two components combine by total
-/// FedAvg weight ("robust-per-shard, fold upstream").  `reference` is the
-/// movement basis for kNormBoundedMean — pass the current global weights.
+/// One round's FedAvg fold: the per-update routing that Aggregator and
+/// fed_avg share.  A forwarded exact sum (`agg_terms`) folds into the exact
+/// accumulator; under a robust rule a leaf is buffered until the buffer is
+/// full; anything else (kMean, a forwarded mean, a leaf past the cap) folds
+/// into the exact accumulator.  The result combines the robust leaf
+/// reduction with the exact mean by total FedAvg weight
+/// ("robust-per-shard, fold upstream").  Storage is reused across rounds.
+class RoundFold {
+ public:
+  explicit RoundFold(FedAvgConfig cfg = {}) : cfg_(cfg) {}
+
+  const FedAvgConfig& config() const { return cfg_; }
+
+  /// Start a fresh round over `dim`-element weight vectors.
+  void reset(std::size_t dim);
+
+  /// Fold one update of absolute weights.  Returns its FedAvg weight: the
+  /// (cumulative) sample count, or unweighted the leaves it stands for.
+  std::uint64_t add(const WeightUpdate& u);
+
+  /// Write the round's aggregate into `out` (resized to dim).  `reference`
+  /// is the movement basis for kNormBoundedMean — the weights the round
+  /// opened with; nullptr means the zero vector.  It must not alias `out`.
+  /// Requires total_weight() > 0.
+  void result(const std::vector<float>* reference, std::vector<float>& out);
+
+  /// The exactly-folded part of the round (all of it under kMean).
+  const FedAccumulator& exact() const { return acc_; }
+  /// Leaves covered this round, buffered and folded.
+  std::uint64_t contributors() const {
+    return acc_.contributors() + buf_.count();
+  }
+  /// FedAvg weight of the round, buffered and folded.
+  std::uint64_t total_weight() const {
+    return acc_.total_weight() + buf_.total_weight();
+  }
+
+ private:
+  FedAvgConfig cfg_;
+  FedAccumulator acc_;
+  RobustBuffer buf_;
+  std::vector<float> folded_;  // exact-mean scratch for the combine
+};
+
+/// Aggregate client updates into the next global weight vector: one
+/// RoundFold over `updates` in order.  All updates must agree on weight
+/// dimensionality; throws otherwise.  Updates carrying `agg_terms`
+/// (forwarded partial aggregates) are folded exactly; their FedAvg weight
+/// is the cumulative `sample_count` (weighted mode) or `agg_contributors`
+/// (unweighted mode).  `reference` is the movement basis for
+/// kNormBoundedMean — pass the current global weights.
 std::vector<float> fed_avg(const std::vector<WeightUpdate>& updates,
                            const FedAvgConfig& cfg = {},
                            const std::vector<float>* reference = nullptr);

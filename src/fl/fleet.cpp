@@ -68,8 +68,7 @@ FederatedRunResult FleetDriver::run(std::size_t rounds) {
   const std::size_t leaves = fleet_.size();
   const std::size_t edge_count = edges_.size();
   const std::size_t dim = root_->weights().size();
-  const std::uint64_t logical_msg =
-      kWireHeaderBytesV1 + static_cast<std::uint64_t>(dim) * sizeof(float);
+  const std::uint64_t logical_msg = dense_message_bytes(dim);
   obs::TraceWriter* trace = ctx_ != nullptr ? ctx_->trace : nullptr;
   const RoundHooks hooks{injector_, cfg_.adversary, trace};
 

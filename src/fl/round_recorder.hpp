@@ -15,7 +15,7 @@
 namespace evfl::fl {
 
 /// Bytes one round put on each leg: wire size, and the dense-equivalent
-/// ("logical") size an uncompressed v1 exchange would have paid.
+/// ("logical") size an uncompressed kDense exchange would have paid.
 struct RoundBytes {
   std::uint64_t down = 0;
   std::uint64_t up = 0;

@@ -14,6 +14,7 @@ namespace evfl::fl {
 
 namespace {
 
+using wire_detail::Header;
 using wire_detail::Reader;
 using wire_detail::Writer;
 
@@ -44,95 +45,50 @@ CrcTables make_crc_tables() {
   return tables;
 }
 
-struct Header {
-  std::uint16_t version = kWireVersion;
-  std::uint16_t kind = 0;
-  std::uint32_t round = 0;
-  std::int32_t client = -1;
-  std::uint64_t samples = 0;
-  float loss = 0.0f;
-  CodecKind codec = CodecKind::kDense;
-  int quant_bits = 0;
-  std::uint16_t agg_leaves = 0;  // saturated leaves behind a forwarded mean
-  std::uint64_t dim = 0;   // logical weight count after decoding
-  std::uint64_t nnz = 0;   // entries on the wire
-  std::uint32_t crc = 0;
-};
-
-void write_message(std::vector<std::uint8_t>& out, MessageKind kind,
-                   std::uint32_t round, std::int32_t client,
-                   std::uint64_t samples, float loss,
-                   const std::vector<float>& weights) {
-  out.clear();
-  out.reserve(kWireHeaderBytesV1 + weights.size() * sizeof(float));
-  Writer w(out);
-  w.put(kWireMagic);
-  w.put(kWireVersion);
-  w.put(static_cast<std::uint16_t>(kind));
-  w.put(round);
-  w.put(client);
-  w.put(samples);
-  w.put(loss);
-  w.put(static_cast<std::uint64_t>(weights.size()));
-  w.put(crc32(reinterpret_cast<const std::uint8_t*>(weights.data()),
-              weights.size() * sizeof(float)));
-  w.put_floats(weights.data(), weights.size());
-}
-
 Header read_header(Reader& r) {
   const auto magic = r.get<std::uint32_t>();
   if (magic != kWireMagic) throw FormatError("wire: bad magic");
-  Header h;
-  h.version = r.get<std::uint16_t>();
-  if (h.version != kWireVersion && h.version != kWireVersion2) {
-    throw FormatError("wire: unsupported version " +
-                      std::to_string(h.version));
+  const auto version = r.get<std::uint16_t>();
+  if (version != kWireVersion) {
+    throw FormatError("wire: unsupported version " + std::to_string(version));
   }
-  h.kind = r.get<std::uint16_t>();
+  Header h;
+  h.kind = static_cast<MessageKind>(r.get<std::uint16_t>());
   h.round = r.get<std::uint32_t>();
   h.client = r.get<std::int32_t>();
   h.samples = r.get<std::uint64_t>();
   h.loss = r.get<float>();
-  if (h.version == kWireVersion) {
-    h.dim = r.get<std::uint64_t>();
-    h.nnz = h.dim;
-    h.codec = CodecKind::kDense;
-    h.quant_bits = 0;
-  } else {
-    const auto codec = r.get<std::uint8_t>();
-    if (codec > static_cast<std::uint8_t>(CodecKind::kAggSum)) {
-      throw FormatError("wire: unknown codec " + std::to_string(codec));
-    }
-    h.codec = static_cast<CodecKind>(codec);
-    h.quant_bits = r.get<std::uint8_t>();
-    h.agg_leaves = r.get<std::uint16_t>();
-    // Only a forwarded update mean legitimately carries the field; a
-    // broadcast or an exact aggregate (whose contributor count rides in the
-    // payload) with it set is a forgery or corruption.
-    if (h.agg_leaves != 0 &&
-        (h.kind != static_cast<std::uint16_t>(MessageKind::kWeightUpdate) ||
-         h.codec == CodecKind::kAggSum)) {
-      throw FormatError("wire: unexpected agg_leaves field");
-    }
-    h.dim = r.get<std::uint64_t>();
-    h.nnz = r.get<std::uint64_t>();
-    if (h.dim > kMaxWireDim) throw FormatError("wire: dimension too large");
-    if (h.nnz > h.dim) throw FormatError("wire: nnz exceeds dimension");
-    const bool quantized = h.codec == CodecKind::kTopKQuant ||
-                           h.codec == CodecKind::kQuantDense;
-    if (quantized && h.quant_bits != 4 && h.quant_bits != 8) {
-      throw FormatError("wire: unsupported quant bits " +
-                        std::to_string(h.quant_bits));
-    }
-    if (!quantized && h.quant_bits != 0) {
-      throw FormatError("wire: quant bits on an unquantized codec");
-    }
-    if ((h.codec == CodecKind::kDense || h.codec == CodecKind::kDelta ||
-         h.codec == CodecKind::kQuantDense ||
-         h.codec == CodecKind::kAggSum) &&
-        h.nnz != h.dim) {
-      throw FormatError("wire: dense codec with nnz != dim");
-    }
+  const auto codec = r.get<std::uint8_t>();
+  if (codec > static_cast<std::uint8_t>(CodecKind::kAggSum)) {
+    throw FormatError("wire: unknown codec " + std::to_string(codec));
+  }
+  h.codec = static_cast<CodecKind>(codec);
+  h.quant_bits = r.get<std::uint8_t>();
+  h.agg_leaves = r.get<std::uint16_t>();
+  // Only a forwarded update mean legitimately carries the field; a
+  // broadcast or an exact aggregate (whose contributor count rides in the
+  // payload) with it set is a forgery or corruption.
+  if (h.agg_leaves != 0 && (h.kind != MessageKind::kWeightUpdate ||
+                            h.codec == CodecKind::kAggSum)) {
+    throw FormatError("wire: unexpected agg_leaves field");
+  }
+  h.dim = r.get<std::uint64_t>();
+  h.nnz = r.get<std::uint64_t>();
+  if (h.dim > kMaxWireDim) throw FormatError("wire: dimension too large");
+  if (h.nnz > h.dim) throw FormatError("wire: nnz exceeds dimension");
+  const bool quantized = h.codec == CodecKind::kTopKQuant ||
+                         h.codec == CodecKind::kQuantDense;
+  if (quantized && h.quant_bits != 4 && h.quant_bits != 8) {
+    throw FormatError("wire: unsupported quant bits " +
+                      std::to_string(h.quant_bits));
+  }
+  if (!quantized && h.quant_bits != 0) {
+    throw FormatError("wire: quant bits on an unquantized codec");
+  }
+  if ((h.codec == CodecKind::kDense || h.codec == CodecKind::kDelta ||
+       h.codec == CodecKind::kQuantDense || h.codec == CodecKind::kAggSum) &&
+      h.nnz != h.dim) {
+    throw FormatError("wire: dense codec with nnz != dim");
   }
   h.crc = r.get<std::uint32_t>();
   return h;
@@ -299,6 +255,40 @@ thread_local std::vector<std::uint32_t> t_index_scratch;
 
 }  // namespace
 
+void wire_detail::write_header(std::vector<std::uint8_t>& out,
+                               const Header& h) {
+  out.clear();
+  out.reserve(kWireHeaderBytes);
+  Writer w(out);
+  w.put(kWireMagic);
+  w.put(kWireVersion);
+  w.put(static_cast<std::uint16_t>(h.kind));
+  w.put(h.round);
+  w.put(h.client);
+  w.put(h.samples);
+  w.put(h.loss);
+  w.put(static_cast<std::uint8_t>(h.codec));
+  w.put(static_cast<std::uint8_t>(h.quant_bits));
+  w.put(h.agg_leaves);
+  w.put(h.dim);
+  w.put(h.nnz);
+  w.put(std::uint32_t{0});  // CRC placeholder, patched by seal_message
+}
+
+void wire_detail::seal_message(std::vector<std::uint8_t>& out) {
+  Writer(out).patch_u32(kWireHeaderBytes - sizeof(std::uint32_t),
+                        crc32(out.data() + kWireHeaderBytes,
+                              out.size() - kWireHeaderBytes));
+}
+
+void wire_detail::write_float_message(std::vector<std::uint8_t>& out,
+                                      const Header& h, const float* values) {
+  out.reserve(dense_message_bytes(static_cast<std::size_t>(h.nnz)));
+  write_header(out, h);
+  Writer(out).put_floats(values, static_cast<std::size_t>(h.nnz));
+  seal_message(out);
+}
+
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
   static const CrcTables tables = make_crc_tables();
   const auto& t = tables.t;
@@ -322,14 +312,24 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
 
 void serialize_into(const WeightUpdate& update,
                     std::vector<std::uint8_t>& out) {
-  write_message(out, MessageKind::kWeightUpdate, update.round,
-                update.client_id, update.sample_count, update.train_loss,
-                update.weights);
+  const std::uint64_t dim = update.weights.size();
+  wire_detail::write_float_message(
+      out,
+      {MessageKind::kWeightUpdate, update.round, update.client_id,
+       update.sample_count, update.train_loss, CodecKind::kDense,
+       /*quant_bits=*/0, wire_detail::saturate_leaves(update.agg_contributors),
+       dim, dim},
+      update.weights.data());
 }
 
 void serialize_into(const GlobalModel& model, std::vector<std::uint8_t>& out) {
-  write_message(out, MessageKind::kGlobalModel, model.round, -1, 0, 0.0f,
-                model.weights);
+  const std::uint64_t dim = model.weights.size();
+  wire_detail::write_float_message(
+      out,
+      {MessageKind::kGlobalModel, model.round, /*client=*/-1, /*samples=*/0,
+       /*loss=*/0.0f, CodecKind::kDense, /*quant_bits=*/0, /*agg_leaves=*/0,
+       dim, dim},
+      model.weights.data());
 }
 
 std::vector<std::uint8_t> serialize(const WeightUpdate& update) {
@@ -344,26 +344,16 @@ std::vector<std::uint8_t> serialize(const GlobalModel& model) {
   return out;
 }
 
-MessageKind peek_kind(const std::vector<std::uint8_t>& bytes) {
-  Reader r(bytes);
-  const Header h = read_header(r);
-  if (h.kind != static_cast<std::uint16_t>(MessageKind::kWeightUpdate) &&
-      h.kind != static_cast<std::uint16_t>(MessageKind::kGlobalModel)) {
-    throw FormatError("wire: unknown message kind " + std::to_string(h.kind));
-  }
-  return static_cast<MessageKind>(h.kind);
-}
-
 std::optional<WirePeek> peek_header(const std::vector<std::uint8_t>& bytes) {
   try {
     Reader r(bytes);
     const Header h = read_header(r);
-    if (h.kind != static_cast<std::uint16_t>(MessageKind::kWeightUpdate) &&
-        h.kind != static_cast<std::uint16_t>(MessageKind::kGlobalModel)) {
+    if (h.kind != MessageKind::kWeightUpdate &&
+        h.kind != MessageKind::kGlobalModel) {
       return std::nullopt;
     }
     WirePeek p;
-    p.kind = static_cast<MessageKind>(h.kind);
+    p.kind = h.kind;
     p.round = h.round;
     p.client = h.client;
     return p;
@@ -376,7 +366,7 @@ void deserialize_update_into(const std::vector<std::uint8_t>& bytes,
                              WeightUpdate& out) {
   Reader r(bytes);
   const Header h = read_header(r);
-  if (h.kind != static_cast<std::uint16_t>(MessageKind::kWeightUpdate)) {
+  if (h.kind != MessageKind::kWeightUpdate) {
     throw FormatError("wire: expected WeightUpdate");
   }
   if (h.codec == CodecKind::kQuantDense) {
@@ -395,7 +385,7 @@ void deserialize_update_into(const std::vector<std::uint8_t>& bytes,
   }
   // Clear stale aggregate state: `out` buffers are reused across decodes.
   // A forwarded aggregate mean re-announces its (saturated) leaf coverage
-  // through the v2 agg_leaves field; leaf updates and v1 messages carry 0.
+  // through the agg_leaves field; leaf updates carry 0.
   out.agg_terms.clear();
   out.agg_contributors = h.agg_leaves;
   out.is_delta = read_payload(r, h, out.weights, t_index_scratch);
@@ -409,24 +399,11 @@ void serialize_aggregate_into(std::uint32_t round, std::int32_t client,
                               std::vector<std::uint8_t>& out) {
   EVFL_REQUIRE(total_weight > 0, "serialize_aggregate: zero total weight");
   const std::uint64_t dim = terms.size();
-  out.clear();
-  out.reserve(kWireHeaderBytesV2 + 16 + static_cast<std::size_t>(dim) * 16);
+  out.reserve(kWireHeaderBytes + 16 + static_cast<std::size_t>(dim) * 16);
+  wire_detail::write_header(
+      out, {MessageKind::kWeightUpdate, round, client, samples, loss,
+            CodecKind::kAggSum, /*quant_bits=*/0, /*agg_leaves=*/0, dim, dim});
   Writer w(out);
-  w.put(kWireMagic);
-  w.put(kWireVersion2);
-  w.put(static_cast<std::uint16_t>(MessageKind::kWeightUpdate));
-  w.put(round);
-  w.put(client);
-  w.put(samples);
-  w.put(loss);
-  w.put(static_cast<std::uint8_t>(CodecKind::kAggSum));
-  w.put(std::uint8_t{0});   // quant_bits
-  w.put(std::uint16_t{0});  // reserved
-  w.put(dim);
-  w.put(dim);  // nnz == dim
-  const std::size_t crc_pos = w.pos();
-  w.put(std::uint32_t{0});  // CRC placeholder
-  const std::size_t payload_pos = w.pos();
   w.put(contributors);
   w.put(total_weight);
   for (const ExactTerm t : terms) {
@@ -434,15 +411,14 @@ void serialize_aggregate_into(std::uint32_t round, std::int32_t client,
     w.put(static_cast<std::uint64_t>(u));        // low word
     w.put(static_cast<std::uint64_t>(u >> 64));  // high word
   }
-  w.patch_u32(crc_pos,
-              crc32(out.data() + payload_pos, out.size() - payload_pos));
+  wire_detail::seal_message(out);
 }
 
 void deserialize_global_into(const std::vector<std::uint8_t>& bytes,
                              GlobalModel& out) {
   Reader r(bytes);
   const Header h = read_header(r);
-  if (h.kind != static_cast<std::uint16_t>(MessageKind::kGlobalModel)) {
+  if (h.kind != MessageKind::kGlobalModel) {
     throw FormatError("wire: expected GlobalModel");
   }
   if (h.codec != CodecKind::kDense && h.codec != CodecKind::kQuantDense) {

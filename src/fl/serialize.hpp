@@ -5,28 +5,15 @@
 // exchanged" property enforceable and testable, and gives the communication
 // metrics real payload sizes.
 //
-// Two wire versions coexist (decoders accept both):
-//
-// v1 — dense fp32, the lossless default (little-endian):
+// One wire layout for every message (little-endian): a fixed 52-byte
+// header, then a payload whose encoding the `codec` field names (see
+// fl/codec.hpp for the codec semantics):
 //   magic   u32  'EVFL' (0x4C465645)
-//   version u16  = 1
+//   version u16  = 2 (version 1, the retired header-less-codec layout, is
+//                rejected as unsupported)
 //   kind    u16  (1 = WeightUpdate, 2 = GlobalModel)
 //   round   u32
 //   client  i32  (-1 for GlobalModel)
-//   samples u64
-//   loss    f32
-//   count   u64  (number of float weights)
-//   crc32   u32  (over the weight payload bytes)
-//   payload count * f32
-//
-// v2 — compressed payloads (see fl/codec.hpp for the codec semantics).  The
-// header shares the v1 prefix through `client`, so peek_header works on
-// either version without knowing which arrived:
-//   magic   u32  'EVFL'
-//   version u16  = 2
-//   kind    u16
-//   round   u32
-//   client  i32
 //   samples u64
 //   loss    f32
 //   codec      u8   (CodecKind)
@@ -41,6 +28,7 @@
 //   nnz     u64  (entries on the wire; == dim for dense codecs)
 //   crc32   u32  (over the payload bytes)
 //   payload — by codec:
+//     kDense:     dim * f32 absolute weights (uncompressed; nnz == dim)
 //     kDelta:     nnz * f32 delta values (nnz == dim)
 //     kTopK:      nnz * u32 strictly-increasing indices, then nnz * f32
 //     kTopKQuant: nnz * u32 indices, ceil(nnz/256) * f32 block scales,
@@ -55,7 +43,7 @@
 //                 (dimension, norm) still apply.
 //
 // Decoders throw evfl::FormatError on bad magic/version/kind/codec/CRC/
-// size.  v2 delta payloads decode into WeightUpdate::weights with
+// size.  Delta payloads decode into WeightUpdate::weights with
 // is_delta = true — materialized dense, so the validator's non-finite /
 // dimension / movement-norm rules always run on the decoded update.
 #pragma once
@@ -69,16 +57,19 @@
 namespace evfl::fl {
 
 inline constexpr std::uint32_t kWireMagic = 0x4C465645;  // "EVFL"
-inline constexpr std::uint16_t kWireVersion = 1;
-inline constexpr std::uint16_t kWireVersion2 = 2;
+inline constexpr std::uint16_t kWireVersion = 2;
 
-/// Fixed header sizes (bytes) — what the dense-equivalent "logical bytes"
-/// telemetry and the size-formula tests count with.
-inline constexpr std::size_t kWireHeaderBytesV1 = 40;
-inline constexpr std::size_t kWireHeaderBytesV2 = 52;
+/// Fixed header size (bytes) of every message.
+inline constexpr std::size_t kWireHeaderBytes = 52;
+
+/// Size of an uncompressed (kDense) message over `dim` weights — the
+/// dense-equivalent "logical bytes" telemetry counts with it.
+inline constexpr std::size_t dense_message_bytes(std::size_t dim) {
+  return kWireHeaderBytes + dim * sizeof(float);
+}
 
 /// Upper bound on the logical weight count a decoder will materialize.  The
-/// CRC covers only the payload, so a corrupted v2 `dim` field could
+/// CRC covers only the payload, so a corrupted `dim` field could
 /// otherwise demand an arbitrarily large dense allocation before any
 /// integrity check can fail.
 inline constexpr std::uint64_t kMaxWireDim = 1ull << 28;  // 1 GiB of fp32
@@ -97,13 +88,14 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 std::vector<std::uint8_t> serialize(const WeightUpdate& update);
 std::vector<std::uint8_t> serialize(const GlobalModel& model);
 
-/// Buffer-reusing variants (v1 layout): `out` is cleared, then filled; its
-/// capacity is retained across calls so steady-state serialization does not
-/// allocate.
+/// Buffer-reusing variants (kDense payload): `out` is cleared, then filled;
+/// its capacity is retained across calls so steady-state serialization does
+/// not allocate.  An update's nonzero `agg_contributors` rides in the
+/// agg_leaves header field.
 void serialize_into(const WeightUpdate& update, std::vector<std::uint8_t>& out);
 void serialize_into(const GlobalModel& model, std::vector<std::uint8_t>& out);
 
-/// Serialize an edge aggregator's exact partial sum as a v2 kAggSum update
+/// Serialize an edge aggregator's exact partial sum as a kAggSum update
 /// (buffer-reusing).  `terms` are the accumulator's raw fixed-point sums,
 /// `total_weight` its divisor (mode-dependent: Σ samples or Σ 1), `samples`
 /// the shard's cumulative sample count, `contributors` its accepted leaves.
@@ -114,10 +106,6 @@ void serialize_aggregate_into(std::uint32_t round, std::int32_t client,
                               const std::vector<ExactTerm>& terms,
                               std::vector<std::uint8_t>& out);
 
-/// Peek at the message kind without full decoding; throws FormatError on
-/// malformed headers.
-MessageKind peek_kind(const std::vector<std::uint8_t>& bytes);
-
 /// Header fields visible without decoding the payload — what the simulated
 /// network needs to apply per-(sender, round) fault rules.
 struct WirePeek {
@@ -126,8 +114,7 @@ struct WirePeek {
   std::int32_t client = -1;
 };
 
-/// Non-throwing header peek; std::nullopt on anything malformed.  Works on
-/// both wire versions (the peeked prefix is layout-identical).
+/// Non-throwing header peek; std::nullopt on anything malformed.
 std::optional<WirePeek> peek_header(const std::vector<std::uint8_t>& bytes);
 
 /// Decoders throw evfl::FormatError on bad magic/version/kind/CRC/size.

@@ -48,8 +48,8 @@ bool RoundGate::admit(WeightUpdate& u) {
   if (cfg_.max_update_norm > 0.0) {
     // Clip the *movement* ||u - global||, not the raw weight norm: a
     // legitimate large model is fine, a huge per-round jump is not.  A
-    // delta-coded update (wire v2) already *is* the movement, so its norm
-    // is taken directly and clipping rescales it in place.
+    // delta-coded update already *is* the movement, so its norm is taken
+    // directly and clipping rescales it in place.
     double sq = 0.0;
     for (std::size_t i = 0; i < u.weights.size(); ++i) {
       const double d = u.is_delta ? static_cast<double>(u.weights[i])

@@ -22,7 +22,7 @@ struct WeightUpdate {
   std::uint64_t sample_count = 0;   // local training examples (FedAvg weight)
   std::vector<float> weights;
   float train_loss = 0.0f;          // diagnostic only; not used by FedAvg
-  /// When true, `weights` holds `local - broadcast` (a wire-v2 delta codec
+  /// When true, `weights` holds `local - broadcast` (a delta wire codec
   /// decoded it) rather than absolute weights.  The server validates the
   /// delta directly, averages in delta space and re-materializes against
   /// the round's broadcast reference.

@@ -1,6 +1,6 @@
 // Byte-level helpers shared by the wire implementation TUs (serialize.cpp
-// writes/reads both wire versions; codec.cpp writes v2 compressed payloads).
-// Internal to src/fl — not part of the public evfl::fl surface.
+// owns the one header writer and reader; codec.cpp writes the compressed
+// payloads).  Internal to src/fl — not part of the public evfl::fl surface.
 #pragma once
 
 #include <cstdint>
@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "fl/codec.hpp"
+#include "fl/serialize.hpp"
 #include "nn/quant.hpp"
 
 namespace evfl::fl::wire_detail {
@@ -100,6 +102,42 @@ class Reader {
   const std::vector<std::uint8_t>& in_;
   std::size_t pos_ = 0;
 };
+
+/// The fixed header fields (layout in serialize.hpp).  The reader fills
+/// `crc`; the writer leaves a placeholder that seal_message patches.
+struct Header {
+  MessageKind kind = MessageKind::kWeightUpdate;
+  std::uint32_t round = 0;
+  std::int32_t client = -1;
+  std::uint64_t samples = 0;
+  float loss = 0.0f;
+  CodecKind codec = CodecKind::kDense;
+  int quant_bits = 0;
+  std::uint16_t agg_leaves = 0;  // saturated leaves behind a forwarded mean
+  std::uint64_t dim = 0;         // logical weight count after decoding
+  std::uint64_t nnz = 0;         // entries on the wire
+  std::uint32_t crc = 0;
+};
+
+/// Clear `out` and write the header with a zero CRC placeholder; the payload
+/// is appended after it, then seal_message fills in its CRC.
+void write_header(std::vector<std::uint8_t>& out, const Header& h);
+
+/// Patch the CRC of everything after the header into the header.
+void seal_message(std::vector<std::uint8_t>& out);
+
+/// A whole message whose payload is `h.nnz` raw fp32 values (kDense and
+/// kDelta).
+void write_float_message(std::vector<std::uint8_t>& out, const Header& h,
+                         const float* values);
+
+/// Saturate a contributor count into the u16 agg_leaves field.  65535
+/// already far exceeds any single shard's fan-out; the exact count rides in
+/// the kAggSum payload when exactness matters.
+inline std::uint16_t saturate_leaves(std::uint64_t contributors) {
+  return contributors > 0xFFFFu ? std::uint16_t{0xFFFFu}
+                                : static_cast<std::uint16_t>(contributors);
+}
 
 /// Symmetric quantization grid, shared with the serving engine's weight
 /// quantization (nn/quant.hpp): b bits store integers in [-qmax, qmax].

@@ -37,8 +37,9 @@ struct RoundTelemetry {
   std::uint64_t bytes_down = 0;
   /// Serialized update bytes the server drained this round (wire size).
   std::uint64_t bytes_up = 0;
-  /// Dense-equivalent bytes for the same messages (v1 header + fp32
-  /// payload): what an uncompressed exchange would have cost.  The ratio
+  /// Dense-equivalent bytes for the same messages (52-byte header + fp32
+  /// payload, fl::dense_message_bytes): what an uncompressed exchange would
+  /// have cost.  The ratio
   /// logical/wire is the round's compression factor.
   std::uint64_t logical_bytes_down = 0;
   std::uint64_t logical_bytes_up = 0;

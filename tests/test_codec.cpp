@@ -67,14 +67,23 @@ TEST(CodecConfigValidation, BadKnobsThrowAtConstruction) {
   EXPECT_THROW(UpdateEncoder(codec_cfg(CodecKind::kTopK, 1.5)), Error);
 }
 
-TEST(CodecDense, ByteIdenticalToWireV1) {
+TEST(CodecDense, ByteIdenticalToSerializeInto) {
+  // kDense encode is serialize_into: leaf updates and forwarded means (whose
+  // leaf count rides in agg_leaves) alike, with the reference unused.
   for (const std::size_t dim : kDims) {
-    const WeightUpdate u = make_update(random_weights(dim, 11));
-    const std::vector<float> ref = random_weights(dim, 12);
-    UpdateEncoder enc(codec_cfg(CodecKind::kDense));
-    std::vector<std::uint8_t> bytes;
-    enc.encode(u, ref, bytes);
-    EXPECT_EQ(bytes, serialize(u)) << "dim=" << dim;
+    for (const std::uint64_t leaves : {std::uint64_t{0}, std::uint64_t{12}}) {
+      WeightUpdate u = make_update(random_weights(dim, 11));
+      u.agg_contributors = leaves;
+      const std::vector<float> ref = random_weights(dim, 12);
+      UpdateEncoder enc(codec_cfg(CodecKind::kDense));
+      std::vector<std::uint8_t> bytes;
+      enc.encode(u, ref, bytes);
+      std::vector<std::uint8_t> dense;
+      serialize_into(u, dense);
+      EXPECT_EQ(bytes, dense) << "dim=" << dim << " leaves=" << leaves;
+      EXPECT_EQ(bytes.size(), dense_message_bytes(dim));
+      EXPECT_EQ(deserialize_update(bytes).agg_contributors, leaves);
+    }
   }
 }
 
@@ -231,11 +240,16 @@ TEST(CodecEncoder, NonFiniteDeltaShipsDenseForValidator) {
   EXPECT_EQ(audit.rejected_nonfinite, 1u);
 }
 
-TEST(CodecGlobal, DenseBroadcastIsWireV1) {
+TEST(CodecGlobal, LosslessBroadcastIsSerializeInto) {
   const std::vector<float> w = random_weights(300, 91);
-  std::vector<std::uint8_t> bytes;
-  encode_global(5, w, codec_cfg(CodecKind::kTopK), bytes);  // lossless leg
-  EXPECT_EQ(bytes, serialize(GlobalModel{5, w}));
+  for (CodecKind k : {CodecKind::kDense, CodecKind::kDelta, CodecKind::kTopK}) {
+    ASSERT_FALSE(broadcast_is_lossy(codec_cfg(k)));
+    std::vector<std::uint8_t> bytes;
+    encode_global(5, w, codec_cfg(k), bytes);
+    std::vector<std::uint8_t> dense;
+    serialize_into(GlobalModel{5, w}, dense);
+    EXPECT_EQ(bytes, dense) << to_string(k);
+  }
 }
 
 TEST(CodecGlobal, QuantizedBroadcastDecodesWithinBlockStep) {
@@ -290,7 +304,7 @@ TEST(CodecWireV2, SingleByteMutationsNeverCrash) {
   }
 }
 
-// Byte offsets in the fixed v2 header prefix (see serialize.hpp).
+// Byte offsets in the fixed wire header (see serialize.hpp).
 constexpr std::size_t kOffVersion = 4;
 constexpr std::size_t kOffKind = 6;
 constexpr std::size_t kOffCodec = 28;
@@ -366,23 +380,24 @@ TEST(CodecWireV2, AggLeavesRoundTripsAcrossUpdateCodecs) {
 }
 
 TEST(CodecWireV2, VersionConfusionRejected) {
-  {
-    // v1 bytes relabeled v2: the v1 count field reads as codec/quant/dim
-    // garbage that cannot validate.
-    auto b = serialize(make_update(random_weights(8, 121)));
-    b[kOffVersion] = 2;
-    EXPECT_THROW(deserialize_update(b), FormatError);
-  }
-  {
-    // v2 bytes relabeled v1: the codec/dim fields read as an enormous count.
-    auto b = v2_delta_message();
-    b[kOffVersion] = 1;
-    EXPECT_THROW(deserialize_update(b), FormatError);
-  }
-  {
-    auto b = v2_delta_message();
-    b[kOffVersion] = 3;  // unknown version
-    EXPECT_THROW(deserialize_update(b), FormatError);
+  // Version 1 (the retired layout) and any unknown version are unsupported,
+  // whatever the codec; peek_header refuses them too.
+  std::vector<std::uint8_t> dense;
+  serialize_into(make_update(random_weights(8, 121)), dense);
+  for (auto b : {dense, v2_delta_message()}) {
+    ASSERT_EQ(b[kOffVersion], kWireVersion);
+    for (const std::uint8_t version : {1, 3}) {
+      b[kOffVersion] = version;
+      try {
+        (void)deserialize_update(b);
+        ADD_FAILURE() << "version " << int{version} << " accepted";
+      } catch (const FormatError& e) {
+        EXPECT_NE(std::string(e.what()).find("unsupported version"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_FALSE(peek_header(b).has_value());
+    }
   }
 }
 

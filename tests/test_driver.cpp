@@ -73,8 +73,8 @@ TEST(SyncDriver, EveryExchangeCrossesTheWire) {
   const NetworkStats st = net.stats();
   // 2 rounds x 3 clients x (broadcast + upload) = 12 messages.
   EXPECT_EQ(st.messages_sent, 12u);
-  // Each message: 40-byte header + 2 floats.
-  EXPECT_EQ(st.bytes_sent, 12u * (40u + 2u * sizeof(float)));
+  // Each message: 52-byte header + 2 floats.
+  EXPECT_EQ(st.bytes_sent, 12u * (52u + 2u * sizeof(float)));
 }
 
 TEST(SyncDriver, WeightDeltaShrinksAcrossRounds) {

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "fl/aggregator.hpp"
 #include "fl/weights.hpp"
 
 namespace evfl::fl {
@@ -339,6 +340,76 @@ TEST(RobustRules, DeterministicAcrossRepeats) {
     const auto b = fed_avg(updates, cfg, &reference);
     EXPECT_EQ(a, b) << to_string(rule);
   }
+}
+
+TEST(RobustRules, BufferOverflowFoldsIntoExactMeanAndCombinesByWeight) {
+  // kRobustBufferCap + 6 leaves at dim 2 under kTrimmedMean: the first cap
+  // leaves are buffered for the order statistic, the last 6 fold into the
+  // exact mean, and the two parts combine by total FedAvg weight.
+  ASSERT_EQ(kRobustBufferCap, 1024u);
+  constexpr std::size_t kOverflow = 6;
+  std::vector<WeightUpdate> updates;
+  for (std::size_t i = 0; i < kRobustBufferCap + kOverflow; ++i) {
+    // The overflow leaves sit far outside the buffered ones: a trim over
+    // them would drop them, a mean over them moves the result.
+    const bool overflow = i >= kRobustBufferCap;
+    const float x = overflow ? 50.0f + static_cast<float>(i % 7)
+                             : 0.125f * static_cast<float>(i % 37) - 2.0f;
+    updates.push_back(
+        make_update(static_cast<int>(i), 10 + i % 5, {x, 1.0f - 0.5f * x}));
+  }
+  FedAvgConfig cfg;
+  cfg.rule = AggregationRule::kTrimmedMean;
+  cfg.trim_fraction = 0.1;
+
+  RoundFold fold(cfg);
+  fold.reset(2);
+  std::uint64_t buffered_weight = 0;
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const std::uint64_t w = fold.add(updates[i]);
+    EXPECT_EQ(w, updates[i].sample_count);
+    if (i < kRobustBufferCap) buffered_weight += w;
+  }
+  // All but the overflow went to the robust buffer.
+  EXPECT_EQ(fold.exact().contributors(), kOverflow);
+  EXPECT_EQ(fold.contributors(), kRobustBufferCap + kOverflow);
+
+  // The documented combination, from its parts: the robust reduction of
+  // the buffered leaves and the exact mean of the overflow.
+  const std::vector<WeightUpdate> head(updates.begin(),
+                                       updates.begin() + kRobustBufferCap);
+  const std::vector<float> robust = fed_avg(head, cfg);
+  FedAccumulator tail;
+  tail.reset(2);
+  for (std::size_t i = kRobustBufferCap; i < updates.size(); ++i) {
+    tail.add_update(updates[i].weights, updates[i].sample_count);
+  }
+  std::vector<float> folded;
+  tail.mean(folded);
+  const double wr = static_cast<double>(buffered_weight);
+  const double wm = static_cast<double>(tail.total_weight());
+  std::vector<float> expected(2);
+  for (std::size_t d = 0; d < 2; ++d) {
+    expected[d] = static_cast<float>(
+        (wr * static_cast<double>(robust[d]) +
+         wm * static_cast<double>(folded[d])) /
+        (wr + wm));
+  }
+  EXPECT_NE(expected, robust);  // the overflow really counts
+
+  std::vector<float> from_fold;
+  fold.result(nullptr, from_fold);
+  EXPECT_EQ(from_fold, expected);
+  EXPECT_EQ(fed_avg(updates, cfg), expected);
+
+  // The streaming Aggregator runs the same fold.
+  const std::vector<float> initial = {0.0f, 0.0f};
+  Aggregator agg(initial, cfg);
+  for (const WeightUpdate& u : updates) agg.offer(u);
+  agg.close_round();
+  EXPECT_EQ(agg.last_audit().accepted, updates.size());
+  EXPECT_EQ(agg.accepted_contributors(), kRobustBufferCap + kOverflow);
+  EXPECT_EQ(agg.weights(), fed_avg(updates, cfg, &initial));
 }
 
 TEST(WeightsHelpers, AxpyAndDistance) {

@@ -74,11 +74,11 @@ TEST_F(IntegrationTest, FederatedCleanLearnsTheSignal) {
 
 TEST_F(IntegrationTest, FederatedRunsExchangeOnlyWeights) {
   // 3 rounds x 3 clients x 2 legs = 18 messages; each payload is the model
-  // weight vector + 40-byte header.  No raw data crosses the network.
+  // weight vector + 52-byte header.  No raw data crosses the network.
   const fl::NetworkStats st = fed_clean_->network;
   EXPECT_EQ(st.messages_sent, 18u);
   const std::size_t weight_count = fed_clean_->global_weights.size();
-  EXPECT_EQ(st.bytes_sent, 18u * (40u + weight_count * sizeof(float)));
+  EXPECT_EQ(st.bytes_sent, 18u * (52u + weight_count * sizeof(float)));
 }
 
 TEST_F(IntegrationTest, FederatedCompetitiveWithCentralizedOnFilteredData) {

@@ -77,7 +77,8 @@ TEST(Crc32, SliceBy8MatchesBytewiseOracleAcrossSizesAndOffsets) {
 TEST(Serialize, UpdateRoundTrip) {
   const WeightUpdate u = sample_update();
   const auto bytes = serialize(u);
-  EXPECT_EQ(peek_kind(bytes), MessageKind::kWeightUpdate);
+  ASSERT_TRUE(peek_header(bytes).has_value());
+  EXPECT_EQ(peek_header(bytes)->kind, MessageKind::kWeightUpdate);
   const WeightUpdate back = deserialize_update(bytes);
   EXPECT_EQ(back.client_id, u.client_id);
   EXPECT_EQ(back.round, u.round);
@@ -91,7 +92,8 @@ TEST(Serialize, GlobalRoundTrip) {
   g.round = 4;
   g.weights = {0.5f, 0.25f};
   const auto bytes = serialize(g);
-  EXPECT_EQ(peek_kind(bytes), MessageKind::kGlobalModel);
+  ASSERT_TRUE(peek_header(bytes).has_value());
+  EXPECT_EQ(peek_header(bytes)->kind, MessageKind::kGlobalModel);
   const GlobalModel back = deserialize_global(bytes);
   EXPECT_EQ(back.round, 4u);
   EXPECT_EQ(back.weights, g.weights);
@@ -115,7 +117,7 @@ TEST(Serialize, CorruptedMagicRejected) {
   auto bytes = serialize(sample_update());
   bytes[0] ^= 0xFF;
   EXPECT_THROW(deserialize_update(bytes), FormatError);
-  EXPECT_THROW(peek_kind(bytes), FormatError);
+  EXPECT_FALSE(peek_header(bytes).has_value());
 }
 
 TEST(Serialize, TruncationRejected) {
@@ -155,9 +157,9 @@ TEST(Serialize, RandomMutationsNeverCrashOnlyThrowOrReject) {
     mutated[pos] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
     try {
       const WeightUpdate u = deserialize_update(mutated);
-      // Decoded despite mutation: only header fields outside magic /
-      // version / kind / count / crc / payload can differ (round, client,
-      // samples, loss) — the weights must still be intact.
+      // Decoded despite mutation: only header fields the decoder cannot
+      // cross-check can differ (round, client, samples, loss, agg_leaves,
+      // or kDense relabeled kDelta) — the weights must still be intact.
       EXPECT_EQ(u.weights, sample_update().weights);
     } catch (const FormatError&) {
       // rejected — fine
@@ -179,8 +181,11 @@ TEST(Serialize, PayloadSizeIsHeaderPlusFloats) {
   const WeightUpdate u = sample_update();
   const auto bytes = serialize(u);
   // magic 4 + version 2 + kind 2 + round 4 + client 4 + samples 8 + loss 4
-  // + count 8 + crc 4 = 40 header bytes.
-  EXPECT_EQ(bytes.size(), 40u + u.weights.size() * sizeof(float));
+  // + codec 1 + quant_bits 1 + agg_leaves 2 + dim 8 + nnz 8 + crc 4 = 52
+  // header bytes.
+  EXPECT_EQ(kWireHeaderBytes, 52u);
+  EXPECT_EQ(bytes.size(), dense_message_bytes(u.weights.size()));
+  EXPECT_EQ(bytes.size(), 52u + u.weights.size() * sizeof(float));
 }
 
 }  // namespace
