@@ -14,6 +14,7 @@
 #include "attack/ramp_injector.hpp"
 #include "core/report.hpp"
 #include "core/scenario_runner.hpp"
+#include "harness.hpp"
 #include "metrics/regression.hpp"
 
 using namespace evfl;
@@ -26,12 +27,7 @@ int main(int argc, char** argv) {
   // Ablations compare vectors against each other; a reduced study window
   // keeps the sweep fast without changing the ordering (--hours overrides).
   cfg.generator.hours = 2000;
-  try {
-    apply_cli_overrides(cfg, argc, argv);
-  } catch (const Error& e) {
-    std::cerr << "argument error: " << e.what() << "\n";
-    return 2;
-  }
+  if (const int rc = bench::apply_overrides(cfg, argc, argv)) return rc;
 
   std::cout << "=== Ablation: attack vectors vs the spike-trained detector ===\n"
             << "config: " << describe(cfg) << "\n\n";

@@ -12,13 +12,14 @@
 
 #include "core/report.hpp"
 #include "core/scenario_runner.hpp"
+#include "harness.hpp"
 
 using namespace evfl;
 using namespace evfl::core;
 
 namespace {
 
-ExperimentConfig ablation_config(int argc, char** argv) {
+ExperimentConfig ablation_config() {
   ExperimentConfig cfg;
   cfg.threads = 0;  // pool sized to the machine; override with --threads N
   cfg.generator.hours = 1500;
@@ -27,7 +28,6 @@ ExperimentConfig ablation_config(int argc, char** argv) {
   cfg.filter.autoencoder.encoder_units = 24;
   cfg.filter.autoencoder.latent_units = 12;
   cfg.filter.autoencoder.max_epochs = 20;
-  apply_cli_overrides(cfg, argc, argv);
   return cfg;
 }
 
@@ -41,13 +41,8 @@ double mean_r2(const ScenarioResult& r) {
 
 int main(int argc, char** argv) {
   std::cout << std::unitbuf;  // progress lines reach redirected logs promptly
-  ExperimentConfig cfg;
-  try {
-    cfg = ablation_config(argc, argv);
-  } catch (const Error& e) {
-    std::cerr << "argument error: " << e.what() << "\n";
-    return 2;
-  }
+  ExperimentConfig cfg = ablation_config();
+  if (const int rc = bench::apply_overrides(cfg, argc, argv)) return rc;
 
   std::cout << "=== Ablation: FedAvg design choices ===\n"
             << "config: " << describe(cfg) << "\n\n";

@@ -13,6 +13,7 @@
 #include "attack/ddos_injector.hpp"
 #include "core/report.hpp"
 #include "core/scenario_runner.hpp"
+#include "harness.hpp"
 #include "metrics/regression.hpp"
 
 using namespace evfl;
@@ -25,12 +26,7 @@ int main(int argc, char** argv) {
   // Ablations compare rules against each other; a reduced study window
   // keeps the sweep fast without changing the ordering (--hours overrides).
   cfg.generator.hours = 2000;
-  try {
-    apply_cli_overrides(cfg, argc, argv);
-  } catch (const Error& e) {
-    std::cerr << "argument error: " << e.what() << "\n";
-    return 2;
-  }
+  if (const int rc = bench::apply_overrides(cfg, argc, argv)) return rc;
 
   std::cout << "=== Ablation: detection threshold rule & mitigation gap ===\n"
             << "config: " << describe(cfg) << "\n\n";

@@ -9,122 +9,37 @@
 // at least two robust rules hold the fit — per-update validation cannot see
 // a colluding attack, only order-statistic aggregation can.
 //
-// Writes BENCH_adversarial.json.  `--check-allocs` is the CI perf-smoke
-// variant: it runs one robust-rule cell and exits 1 when steady-state
-// rounds keep growing the heap (the robust buffer must reuse its storage).
+// Writes build/artifacts/BENCH_adversarial.json.  `--check-allocs` is the
+// CI perf-smoke variant: it runs one robust-rule cell and exits 1 when
+// steady-state rounds keep growing the heap (the robust buffer must reuse
+// its storage).
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <memory>
-#include <new>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/report.hpp"
+#include "data/csv.hpp"
 #include "fl/adversary.hpp"
 #include "fl/driver.hpp"
-#include "metrics/regression.hpp"
-#include "nn/dense.hpp"
+#include "harness.hpp"
 #include "obs/round_telemetry.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-// Same instrumentation as bench_scale / bench_comms: replacing the global
-// allocation functions makes every heap allocation visible.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace {
 
 using namespace evfl;
+using core::fmt;
 
 constexpr int kClients = 10;
 constexpr std::size_t kAttackRounds = 6;   // attack window [0, 5]
 constexpr std::size_t kRecoveryRounds = 4; // attack-free tail
-constexpr std::size_t kSamplesPerClient = 96;
-constexpr std::uint64_t kDataSeed = 29;
 constexpr std::uint64_t kAttackSeed = 1337;
 constexpr double kClipNorm = 2.5;   // admits honest movements untouched
 constexpr double kAlieBudget = 2.0; // within the clip: passes unclipped
-
-fl::ModelFactory linear_factory() {
-  return [](tensor::Rng& rng) {
-    nn::Sequential m;
-    m.emplace<nn::Dense>(1, nn::Activation::kLinear, rng, 1);
-    return m;
-  };
-}
-
-/// Homogeneous fleet fitting y = 2x: every client agrees on the optimum, so
-/// any quality loss in the grid is attributable to the attack.  Data-
-/// poisoning kinds relabel the training tensors here, before the Client
-/// takes ownership — the poisoned update is then produced by the real
-/// training path.
-std::vector<std::unique_ptr<fl::Client>> make_clients(
-    const fl::AdversarySuite* adversary) {
-  std::vector<std::unique_ptr<fl::Client>> clients;
-  tensor::Rng root(kDataSeed);
-  for (int c = 0; c < kClients; ++c) {
-    tensor::Tensor3 x(kSamplesPerClient, 1, 1), y(kSamplesPerClient, 1, 1);
-    tensor::Rng data_rng = root.split();
-    for (std::size_t i = 0; i < kSamplesPerClient; ++i) {
-      const float xi = data_rng.uniform(-1.0f, 1.0f);
-      x(i, 0, 0) = xi;
-      y(i, 0, 0) = 2.0f * xi + data_rng.normal(0.0f, 0.05f);
-    }
-    if (adversary != nullptr) adversary->poison_labels(c, 0, x, y);
-    fl::ClientConfig cfg;
-    cfg.epochs_per_round = 10;
-    cfg.learning_rate = 0.05f;
-    cfg.batch_size = 16;
-    clients.push_back(std::make_unique<fl::Client>(
-        c, x, y, linear_factory(), cfg, root.split()));
-  }
-  return clients;
-}
-
-double holdout_r2(const std::vector<float>& weights) {
-  tensor::Rng rng(733);
-  std::vector<float> actual, predicted;
-  for (int i = 0; i < 512; ++i) {
-    const float x = rng.uniform(-1.0f, 1.0f);
-    actual.push_back(2.0f * x);
-    predicted.push_back(weights[0] * x + weights[1]);
-  }
-  return metrics::r2_score(actual, predicted);
-}
 
 struct Cell {
   fl::AttackKind attack = fl::AttackKind::kNone;
@@ -170,7 +85,7 @@ Cell run_cell(fl::AttackKind attack, fl::AggregationRule rule, double frac,
   acfg.backdoor_value = 0.0f;
   const fl::AdversarySuite adversary(acfg);
 
-  auto clients = make_clients(&adversary);
+  auto clients = bench::linear_fleet(kClients, &adversary);
 
   fl::ValidatorConfig vc;
   vc.max_update_norm = kClipNorm;
@@ -190,7 +105,7 @@ Cell run_cell(fl::AttackKind attack, fl::AggregationRule rule, double frac,
   for (std::size_t r = 0; r < kAttackRounds + kRecoveryRounds; ++r) {
     const fl::FederatedRunResult res = driver.run(1);
     cell.rejected += res.total_rejected_updates();
-    const double r2 = holdout_r2(res.final_weights);
+    const double r2 = bench::linear_holdout_r2(res.final_weights);
     if (r + 1 == kAttackRounds) cell.r2_attacked = r2;
     if (r >= kAttackRounds && cell.rounds_to_recover < 0 &&
         r2 >= baseline_r2 - 0.01) {
@@ -221,7 +136,7 @@ Cell run_cell(fl::AttackKind attack, fl::AggregationRule rule, double frac,
 double run_baseline(fl::AggregationRule rule) {
   // Attack-free run under the same defense: what the grid's degradation
   // and recovery thresholds are measured against.
-  auto clients = make_clients(nullptr);
+  auto clients = bench::linear_fleet(kClients);
   fl::ValidatorConfig vc;
   vc.max_update_norm = kClipNorm;
   fl::Server server({0.0f, 0.0f}, defense_config(rule, 0), vc);
@@ -229,13 +144,7 @@ double run_baseline(fl::AggregationRule rule) {
   fl::SyncDriver driver(server, clients, net);
   const fl::FederatedRunResult res =
       driver.run(kAttackRounds + kRecoveryRounds);
-  return holdout_r2(res.final_weights);
-}
-
-std::string fmt(double v, int precision = 4) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(precision) << v;
-  return os.str();
+  return bench::linear_holdout_r2(res.final_weights);
 }
 
 int run_check_allocs() {
@@ -250,7 +159,7 @@ int run_check_allocs() {
   acfg.attackers = fl::AdversarySuite::pick_attackers(0.3, kAttackSeed, ids);
   acfg.norm_budget = kAlieBudget;
   const fl::AdversarySuite adversary(acfg);
-  auto clients = make_clients(&adversary);
+  auto clients = bench::linear_fleet(kClients, &adversary);
   fl::ValidatorConfig vc;
   vc.max_update_norm = kClipNorm;
   fl::Server server({0.0f, 0.0f},
@@ -262,14 +171,11 @@ int run_check_allocs() {
                         fl::RoundPolicy{}, nullptr, &adversary);
 
   driver.run(2);  // warmup: buffer growth to steady-state capacity
-  const std::uint64_t b0 = g_alloc_bytes.load();
+  bench::AllocWindow allocs;
   driver.run(3);
-  const std::uint64_t b1 = g_alloc_bytes.load();
+  const double w1 = static_cast<double>(allocs.take().bytes);
   driver.run(3);
-  const std::uint64_t b2 = g_alloc_bytes.load();
-
-  const double w1 = static_cast<double>(b1 - b0);
-  const double w2 = static_cast<double>(b2 - b1);
+  const double w2 = static_cast<double>(allocs.take().bytes);
   std::printf("window1: %.0f B over 3 rounds, window2: %.0f B\n", w1, w2);
   if (w1 <= 0.0) {
     std::printf("FAIL: allocation counter saw nothing\n");
@@ -291,11 +197,7 @@ int run_check_allocs() {
 int main(int argc, char** argv) {
   std::cout << std::unitbuf;
   const bool check_allocs = core::take_flag(argc, argv, "--check-allocs");
-  if (argc > 1) {
-    std::cerr << "argument error: unknown option: " << argv[1]
-              << " (expected --check-allocs)\n";
-    return 2;
-  }
+  if (const int rc = bench::extra_args(argc, argv, "--check-allocs")) return rc;
   if (check_allocs) return run_check_allocs();
 
   const std::vector<fl::AttackKind> attacks = {
@@ -358,7 +260,8 @@ int main(int argc, char** argv) {
             << "collusion defeats the mean but not robust aggregation: "
             << (separated ? "YES" : "NO") << "\n";
 
-  std::ofstream json("BENCH_adversarial.json");
+  const std::string json_path = data::artifact_path("BENCH_adversarial.json");
+  std::ofstream json(json_path);
   json << "{\n  \"clients\": " << kClients
        << ",\n  \"attack_rounds\": " << kAttackRounds
        << ",\n  \"recovery_rounds\": " << kRecoveryRounds
@@ -388,6 +291,6 @@ int main(int argc, char** argv) {
        << fmt(mean_degradation, 6)
        << ", \"robust_rules_holding\": " << robust_holding
        << ", \"separated\": " << (separated ? "true" : "false") << "}\n}\n";
-  std::cout << "wrote BENCH_adversarial.json\n";
+  std::cout << "wrote " << json_path << "\n";
   return separated ? 0 : 1;
 }

@@ -12,6 +12,7 @@
 #include "core/report.hpp"
 #include "core/scenario_runner.hpp"
 #include "forecast/baselines.hpp"
+#include "harness.hpp"
 
 using namespace evfl;
 using namespace evfl::core;
@@ -23,12 +24,7 @@ int main(int argc, char** argv) {
   cfg.generator.hours = 2000;
   cfg.forecaster.lstm_units = 32;
   cfg.federated_rounds = 3;
-  try {
-    apply_cli_overrides(cfg, argc, argv);
-  } catch (const Error& e) {
-    std::cerr << "argument error: " << e.what() << "\n";
-    return 2;
-  }
+  if (const int rc = bench::apply_overrides(cfg, argc, argv)) return rc;
 
   std::cout << "=== Baselines: classical models vs LSTM (clean data) ===\n"
             << "config: " << describe(cfg) << "\n\n";

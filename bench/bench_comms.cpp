@@ -10,91 +10,32 @@
 //      output (shared cache_dir) — dense vs top-k+int8 — reporting the
 //      bytes/round reduction and the R² cost of compression.
 //
-// Writes BENCH_comms.json.
+// Writes build/artifacts/BENCH_comms.json.
 //
 //   bench_comms                 # full run, prints + writes JSON
 //   bench_comms --check-allocs  # microbench only; exit 1 if the steady
 //                               # state serialize/decode paths allocate
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "core/config.hpp"
 #include "core/scenario_runner.hpp"
+#include "data/csv.hpp"
 #include "fl/codec.hpp"
 #include "fl/serialize.hpp"
 #include "forecast/model.hpp"
-#include "metrics/timer.hpp"
+#include "harness.hpp"
 #include "tensor/rng.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-// Same instrumentation as bench_lstm_kernels: replacing the global
-// allocation functions makes every heap allocation visible, and the bench
-// samples the counter around each measured region.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace {
 
 using namespace evfl;
+using bench::OpStats;
 
 constexpr std::size_t kLargeDim = 1u << 20;  // 1M params, 4 MiB dense
-
-struct OpStats {
-  double ops_per_sec = 0.0;
-  double allocs_per_op = 0.0;
-};
-
-/// Time `op` over `iters` iterations after `warmup` unmeasured ones (the
-/// warmup absorbs first-use buffer growth — steady state is what's pinned).
-template <typename Fn>
-OpStats measure(std::size_t warmup, std::size_t iters, Fn&& op) {
-  for (std::size_t i = 0; i < warmup; ++i) op();
-  const std::uint64_t a0 = g_alloc_count.load();
-  const metrics::WallTimer timer;
-  for (std::size_t i = 0; i < iters; ++i) op();
-  const double secs = timer.seconds();
-  const std::uint64_t a1 = g_alloc_count.load();
-  OpStats s;
-  s.ops_per_sec = secs > 0.0 ? static_cast<double>(iters) / secs : 0.0;
-  s.allocs_per_op = static_cast<double>(a1 - a0) / static_cast<double>(iters);
-  return s;
-}
 
 struct CodecBench {
   std::string name;
@@ -128,13 +69,13 @@ CodecBench bench_codec(const std::string& name, const fl::CodecConfig& cfg,
   CodecBench b;
   b.name = name;
   b.cfg = cfg;
-  b.serialize = measure(warmup, iters,
-                        [&] { encoder.encode(update, reference, wire); });
+  b.serialize = bench::measure(
+      warmup, iters, [&] { encoder.encode(update, reference, wire); });
   b.wire_bytes = wire.size();
   b.dense_bytes = fl::dense_message_bytes(dim);
 
   fl::WeightUpdate decoded;
-  b.deserialize = measure(warmup, iters, [&] {
+  b.deserialize = bench::measure(warmup, iters, [&] {
     fl::deserialize_update_into(wire, decoded);
   });
   return b;
@@ -153,14 +94,14 @@ CodecBench bench_broadcast(std::size_t dim, std::size_t warmup,
   CodecBench b;
   b.name = "broadcast_q8";
   b.cfg = cfg;
-  b.serialize = measure(warmup, iters, [&] {
+  b.serialize = bench::measure(warmup, iters, [&] {
     fl::encode_global(/*round=*/3, weights, cfg, wire);
   });
   b.wire_bytes = wire.size();
   b.dense_bytes = fl::dense_message_bytes(dim);
 
   fl::GlobalModel decoded;
-  b.deserialize = measure(warmup, iters, [&] {
+  b.deserialize = bench::measure(warmup, iters, [&] {
     fl::deserialize_global_into(wire, decoded);
   });
   return b;
@@ -242,12 +183,12 @@ ScenarioArm run_arm(const std::string& name, core::ExperimentConfig cfg,
   return arm;
 }
 
-void write_json(std::size_t forecaster_dim,
+void write_json(const std::string& path, std::size_t forecaster_dim,
                 const std::vector<CodecBench>& small,
                 const std::vector<CodecBench>& large,
-                const ScenarioArm* dense_arm, const ScenarioArm* topk_arm,
-                std::size_t rounds) {
-  std::ofstream out("BENCH_comms.json");
+                const ScenarioArm& dense_arm, const ScenarioArm& topk_arm,
+                double reduction, double degradation, std::size_t rounds) {
+  std::ofstream out(path);
   const auto codec_block = [&](const std::vector<CodecBench>& benches) {
     for (std::size_t i = 0; i < benches.size(); ++i) {
       const CodecBench& b = benches[i];
@@ -269,27 +210,19 @@ void write_json(std::size_t forecaster_dim,
   out << "    },\n    \"large_dim\": {\n";
   codec_block(large);
   out << "    }\n  }";
-  if (dense_arm != nullptr && topk_arm != nullptr) {
-    const double reduction =
-        topk_arm->bytes_per_round > 0.0
-            ? dense_arm->bytes_per_round / topk_arm->bytes_per_round
-            : 0.0;
-    const double degradation = dense_arm->mean_r2 - topk_arm->mean_r2;
-    const auto arm_block = [&](const ScenarioArm& a) {
-      out << "{\"bytes_total\": " << a.bytes_total
-          << ", \"bytes_per_round\": " << a.bytes_per_round
-          << ", \"compression_ratio\": " << a.compression_ratio
-          << ", \"mean_r2\": " << a.mean_r2 << "}";
-    };
-    out << ",\n  \"scenario\": {\n    \"rounds\": " << rounds
-        << ",\n    \"dense\": ";
-    arm_block(*dense_arm);
-    out << ",\n    \"topk_q\": ";
-    arm_block(*topk_arm);
-    out << ",\n    \"bytes_reduction\": " << reduction
-        << ",\n    \"r2_degradation\": " << degradation << "\n  }";
-  }
-  out << "\n}\n";
+  const auto arm_block = [&](const ScenarioArm& a) {
+    out << "{\"bytes_total\": " << a.bytes_total
+        << ", \"bytes_per_round\": " << a.bytes_per_round
+        << ", \"compression_ratio\": " << a.compression_ratio
+        << ", \"mean_r2\": " << a.mean_r2 << "}";
+  };
+  out << ",\n  \"scenario\": {\n    \"rounds\": " << rounds
+      << ",\n    \"dense\": ";
+  arm_block(dense_arm);
+  out << ",\n    \"topk_q\": ";
+  arm_block(topk_arm);
+  out << ",\n    \"bytes_reduction\": " << reduction
+      << ",\n    \"r2_degradation\": " << degradation << "\n  }\n}\n";
 }
 
 }  // namespace
@@ -297,15 +230,9 @@ void write_json(std::size_t forecaster_dim,
 int main(int argc, char** argv) {
   std::cout << std::unitbuf;
   const bool check_allocs = core::take_flag(argc, argv, "--check-allocs");
-  core::ExperimentConfig cfg;
-  cfg.threads = 0;  // pool sized to the machine; override with --threads N
-  cfg.cache_dir = "bench_cache";  // both arms share one pipeline pass
-  try {
-    core::apply_cli_overrides(cfg, argc, argv);
-  } catch (const Error& e) {
-    std::cerr << "argument error: " << e.what() << "\n";
-    return 2;
-  }
+  // Both arms train on one cached pipeline pass.
+  core::ExperimentConfig cfg = bench::shared_pipeline_config();
+  if (const int rc = bench::apply_overrides(cfg, argc, argv)) return rc;
 
   // The real model dimension the federated path ships every round.
   tensor::Rng model_rng(1);
@@ -381,8 +308,9 @@ int main(int argc, char** argv) {
   std::printf("R2 degradation: %+.4f (target <= 0.01): %s\n", degradation,
               degradation <= 0.01 ? "PASS" : "FAIL");
 
-  write_json(forecaster_dim, small, large, &dense_arm, &topk_arm,
-             cfg.federated_rounds);
-  std::printf("wrote BENCH_comms.json\n");
+  const std::string json_path = data::artifact_path("BENCH_comms.json");
+  write_json(json_path, forecaster_dim, small, large, dense_arm, topk_arm,
+             reduction, degradation, cfg.federated_rounds);
+  std::printf("wrote %s\n", json_path.c_str());
   return 0;
 }

@@ -5,78 +5,34 @@
 // instead of hanging or diverging, and a trimmed-mean defense keeps one
 // live within-clip-norm (ALIE) attacker from compounding with the faults.
 //
-// Writes BENCH_faults.json with one cell per (crash_fraction,
-// corruption_rate, attack) triple, plus trace/metrics telemetry under
-// build/artifacts/ (override with --trace-out / --metrics-json).
+// Writes build/artifacts/BENCH_faults.json with one cell per
+// (crash_fraction, corruption_rate, attack) triple, plus trace/metrics
+// telemetry beside it (override with --trace-out / --metrics-json).
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <memory>
-#include <sstream>
+#include <string>
 #include <vector>
 
+#include "core/report.hpp"
 #include "data/csv.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
 #include "fl/adversary.hpp"
 #include "fl/driver.hpp"
-#include "metrics/regression.hpp"
-#include "nn/dense.hpp"
+#include "harness.hpp"
 #include "obs/round_telemetry.hpp"
 #include "obs/trace.hpp"
 #include "runtime/run_context.hpp"
 
 using namespace evfl;
+using core::fmt;
 
 namespace {
 
 constexpr int kClients = 6;
 constexpr std::size_t kRounds = 8;
-constexpr std::size_t kSamplesPerClient = 96;
-constexpr std::uint64_t kDataSeed = 29;
 constexpr std::uint64_t kFaultSeed = 31;
-
-fl::ModelFactory linear_factory() {
-  return [](tensor::Rng& rng) {
-    nn::Sequential m;
-    m.emplace<nn::Dense>(1, nn::Activation::kLinear, rng, 1);
-    return m;
-  };
-}
-
-/// Homogeneous fleet fitting y = 2x: every client agrees on the optimum,
-/// so any quality loss in the sweep is attributable to the injected faults.
-std::vector<std::unique_ptr<fl::Client>> make_clients() {
-  std::vector<std::unique_ptr<fl::Client>> clients;
-  tensor::Rng root(kDataSeed);
-  for (int c = 0; c < kClients; ++c) {
-    tensor::Tensor3 x(kSamplesPerClient, 1, 1), y(kSamplesPerClient, 1, 1);
-    tensor::Rng data_rng = root.split();
-    for (std::size_t i = 0; i < kSamplesPerClient; ++i) {
-      const float xi = data_rng.uniform(-1.0f, 1.0f);
-      x(i, 0, 0) = xi;
-      y(i, 0, 0) = 2.0f * xi + data_rng.normal(0.0f, 0.05f);
-    }
-    fl::ClientConfig cfg;
-    cfg.epochs_per_round = 10;
-    cfg.learning_rate = 0.05f;
-    cfg.batch_size = 16;
-    clients.push_back(std::make_unique<fl::Client>(
-        c, x, y, linear_factory(), cfg, root.split()));
-  }
-  return clients;
-}
-
-double holdout_r2(const std::vector<float>& weights) {
-  tensor::Rng rng(733);
-  std::vector<float> actual, predicted;
-  for (int i = 0; i < 512; ++i) {
-    const float x = rng.uniform(-1.0f, 1.0f);
-    actual.push_back(2.0f * x);
-    predicted.push_back(weights[0] * x + weights[1]);
-  }
-  return metrics::r2_score(actual, predicted);
-}
 
 struct Cell {
   double crash_fraction = 0.0;
@@ -91,7 +47,7 @@ struct Cell {
 Cell run_cell(double crash_fraction, double corruption_rate, bool attacked,
               const runtime::RunContext* ctx,
               obs::RoundTelemetrySink* telemetry) {
-  auto clients = make_clients();
+  auto clients = bench::linear_fleet(kClients);
 
   faults::FaultPlan plan;
   // Crash the first floor(f * n) clients permanently.
@@ -135,19 +91,13 @@ Cell run_cell(double crash_fraction, double corruption_rate, bool attacked,
   cell.crash_fraction = crash_fraction;
   cell.corruption_rate = corruption_rate;
   cell.attacked = attacked;
-  cell.r2 = holdout_r2(result.final_weights);
+  cell.r2 = bench::linear_holdout_r2(result.final_weights);
   cell.rejected = result.total_rejected_updates();
   cell.timed_out = result.total_timed_out_clients();
   for (const fl::RoundMetrics& r : result.rounds) {
     cell.accepted += r.updates_received;
   }
   return cell;
-}
-
-std::string fmt(double v, int precision = 4) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(precision) << v;
-  return os.str();
 }
 
 }  // namespace
@@ -164,9 +114,9 @@ int main(int argc, char** argv) {
     } else if (i + 1 < argc && key == "--metrics-json") {
       metrics_json = argv[i + 1];
     } else {
-      std::cerr << "argument error: bad option: " << key
-                << " (expected --trace-out FILE or --metrics-json FILE)\n";
-      return 2;
+      return bench::argument_error(
+          "bad option: " + key +
+          " (expected --trace-out FILE or --metrics-json FILE)");
     }
   }
 
@@ -226,7 +176,8 @@ int main(int argc, char** argv) {
                "corruption: "
             << (bounded_holds ? "YES" : "NO") << "\n";
 
-  std::ofstream json("BENCH_faults.json");
+  const std::string json_path = data::artifact_path("BENCH_faults.json");
+  std::ofstream json(json_path);
   json << "{\n  \"clients\": " << kClients << ",\n  \"rounds\": " << kRounds
        << ",\n  \"r2_fault_free\": " << fmt(r2_clean, 6)
        << ",\n  \"cells\": [\n";
@@ -241,7 +192,7 @@ int main(int argc, char** argv) {
          << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
-  std::cout << "wrote BENCH_faults.json\n";
+  std::cout << "wrote " << json_path << "\n";
 
   telemetry.write_json_file(metrics_json, {});
   trace.flush();

@@ -6,22 +6,16 @@
 #include "data/csv.hpp"
 #include "core/report.hpp"
 #include "core/scenario_runner.hpp"
+#include "harness.hpp"
 
 using namespace evfl;
 using namespace evfl::core;
 
 int main(int argc, char** argv) {
   std::cout << std::unitbuf;  // progress lines reach redirected logs promptly
-  ExperimentConfig cfg;
-  cfg.threads = 0;  // pool sized to the machine; override with --threads N
-  cfg.cache_dir = "bench_cache";  // share the pipeline pass across benches
+  ExperimentConfig cfg = bench::shared_pipeline_config();
   std::string out_path = data::artifact_path("fig2_client1_series.csv");
-  try {
-    apply_cli_overrides(cfg, argc, argv);
-  } catch (const Error& e) {
-    std::cerr << "argument error: " << e.what() << "\n";
-    return 2;
-  }
+  if (const int rc = bench::apply_overrides(cfg, argc, argv)) return rc;
 
   std::cout << "=== Fig. 2: anomaly-resilient federated LSTM, Client 1 ===\n"
             << "config: " << describe(cfg) << "\n\n";

@@ -2,23 +2,20 @@
 // (batch 32, seq 24, hidden 64): step throughput plus *heap allocations per
 // step* — the metric the workspace/fused-kernel work drives to zero and the
 // perf-smoke CI job pins (allocation counts are deterministic; timings are
-// not).  Writes BENCH_kernels.json.
+// not).  Writes build/artifacts/BENCH_kernels.json.
 //
 //   bench_lstm_kernels                 # full run, prints + writes JSON
 //   bench_lstm_kernels --check-allocs  # short run; exit 1 if the steady
 //                                      # state still allocates
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iostream>
 #include <memory>
-#include <new>
 #include <string>
 
 #include "core/config.hpp"
 #include "data/csv.hpp"
-#include "metrics/timer.hpp"
+#include "harness.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "nn/dense.hpp"
@@ -29,45 +26,10 @@
 #include "nn/trainer.hpp"
 #include "tensor/rng.hpp"
 
-// ---- global allocation counter ---------------------------------------------
-// Replacing the global allocation functions makes every heap allocation in
-// the process visible; the bench reads the counter before/after a measured
-// region.  Counting is relaxed-atomic: cheap enough not to distort timings.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
 namespace {
 
 using namespace evfl;
+using bench::OpStats;
 using tensor::Rng;
 using tensor::Tensor3;
 
@@ -75,48 +37,9 @@ constexpr std::size_t kBatch = 32;
 constexpr std::size_t kSeq = 24;
 constexpr std::size_t kHidden = 64;
 
-struct StepStats {
-  double steps_per_sec = 0.0;
-  double allocs_per_step = 0.0;
-  double bytes_per_step = 0.0;
-};
-
-/// Time `step()` over `iters` iterations after `warmup` unmeasured ones;
-/// allocation counters are sampled around the measured region only.
-template <typename Fn>
-StepStats measure(std::size_t warmup, std::size_t iters, Fn&& step) {
-  for (std::size_t i = 0; i < warmup; ++i) step();
-  const std::uint64_t a0 = g_alloc_count.load();
-  const std::uint64_t b0 = g_alloc_bytes.load();
-  const metrics::WallTimer timer;
-  for (std::size_t i = 0; i < iters; ++i) step();
-  const double secs = timer.seconds();
-  const std::uint64_t a1 = g_alloc_count.load();
-  const std::uint64_t b1 = g_alloc_bytes.load();
-  StepStats s;
-  s.steps_per_sec = secs > 0.0 ? static_cast<double>(iters) / secs : 0.0;
-  s.allocs_per_step = static_cast<double>(a1 - a0) / iters;
-  s.bytes_per_step = static_cast<double>(b1 - b0) / iters;
-  return s;
-}
-
-/// Per-step latency distribution, sampled in a separate pass AFTER the
-/// throughput measurement so the timed region above stays untouched (the
-/// perf-smoke gate compares steps/s across builds).
-template <typename Fn>
-void sample_latency(obs::Histogram* hist, Fn&& step) {
-  if (hist == nullptr) return;
-  constexpr std::size_t kSamples = 50;
-  for (std::size_t i = 0; i < kSamples; ++i) {
-    const metrics::WallTimer timer;
-    step();
-    hist->record(timer.seconds());
-  }
-}
-
 /// Forward+backward through a single Lstm layer (the kernel under test).
-StepStats bench_lstm_fwd_bwd(std::size_t warmup, std::size_t iters,
-                             obs::Histogram* latency) {
+OpStats bench_lstm_fwd_bwd(std::size_t warmup, std::size_t iters,
+                           obs::Histogram* latency) {
   Rng rng(1);
   nn::Lstm lstm(kHidden, /*return_sequences=*/true, rng, 1);
   Tensor3 x(kBatch, kSeq, 1), grad(kBatch, kSeq, kHidden);
@@ -129,15 +52,13 @@ StepStats bench_lstm_fwd_bwd(std::size_t warmup, std::size_t iters,
     const Tensor3 dx = lstm.backward(grad);
     if (out.size() + dx.size() == 0) std::abort();  // keep the work alive
   };
-  const StepStats stats = measure(warmup, iters, step);
-  sample_latency(latency, step);
-  return stats;
+  return bench::measure(warmup, iters, step, latency);
 }
 
 /// A complete training step of the paper-shaped forecaster:
 /// forward, loss, backward, Adam update.
-StepStats bench_train_step(std::size_t warmup, std::size_t iters,
-                           obs::Histogram* latency) {
+OpStats bench_train_step(std::size_t warmup, std::size_t iters,
+                         obs::Histogram* latency) {
   Rng rng(2);
   nn::Sequential model;
   model.emplace<nn::Lstm>(kHidden, /*return_sequences=*/false, rng, 1);
@@ -155,22 +76,21 @@ StepStats bench_train_step(std::size_t warmup, std::size_t iters,
     const float l = trainer.train_batch(x, y);
     if (!(l >= 0.0f)) std::abort();
   };
-  const StepStats stats = measure(warmup, iters, step);
-  sample_latency(latency, step);
-  return stats;
+  return bench::measure(warmup, iters, step, latency);
 }
 
-void print_stats(const char* name, const StepStats& s) {
+void print_stats(const char* name, const OpStats& s) {
   std::printf("%-14s %10.1f steps/s   %8.1f allocs/step   %10.0f B/step\n",
-              name, s.steps_per_sec, s.allocs_per_step, s.bytes_per_step);
+              name, s.ops_per_sec, s.allocs_per_op, s.bytes_per_op);
 }
 
-void write_json(const StepStats& kernel, const StepStats& train) {
-  std::ofstream out("BENCH_kernels.json");
-  auto entry = [&](const char* name, const StepStats& s, const char* tail) {
-    out << "  \"" << name << "\": {\"steps_per_sec\": " << s.steps_per_sec
-        << ", \"allocs_per_step\": " << s.allocs_per_step
-        << ", \"bytes_per_step\": " << s.bytes_per_step << "}" << tail
+void write_json(const std::string& path, const OpStats& kernel,
+                const OpStats& train) {
+  std::ofstream out(path);
+  auto entry = [&](const char* name, const OpStats& s, const char* tail) {
+    out << "  \"" << name << "\": {\"steps_per_sec\": " << s.ops_per_sec
+        << ", \"allocs_per_step\": " << s.allocs_per_op
+        << ", \"bytes_per_step\": " << s.bytes_per_op << "}" << tail
         << "\n";
   };
   out << "{\n  \"config\": {\"batch\": " << kBatch << ", \"seq\": " << kSeq
@@ -184,11 +104,7 @@ void write_json(const StepStats& kernel, const StepStats& train) {
 
 int main(int argc, char** argv) {
   const bool check_allocs = core::take_flag(argc, argv, "--check-allocs");
-  if (argc > 1) {
-    std::cerr << "argument error: unknown option: " << argv[1]
-              << " (expected --check-allocs)\n";
-    return 2;
-  }
+  if (const int rc = bench::extra_args(argc, argv, "--check-allocs")) return rc;
 
   const std::size_t warmup = check_allocs ? 3 : 10;
   const std::size_t iters = check_allocs ? 5 : 200;
@@ -210,16 +126,16 @@ int main(int argc, char** argv) {
   }
 
   const std::uint64_t t0 = trace ? trace->now_us() : 0;
-  const StepStats kernel = bench_lstm_fwd_bwd(warmup, iters, kernel_hist);
+  const OpStats kernel = bench_lstm_fwd_bwd(warmup, iters, kernel_hist);
   if (trace) {
     trace->complete("bench.lstm_fwd_bwd", "bench", t0, trace->now_us() - t0);
   }
   const std::uint64_t t1 = trace ? trace->now_us() : 0;
-  const StepStats train = bench_train_step(warmup, iters, train_hist);
+  const OpStats train = bench_train_step(warmup, iters, train_hist);
   if (trace) {
     trace->complete("bench.train_step", "bench", t1, trace->now_us() - t1);
-    trace->counter("lstm_fwd_bwd.steps_per_sec", kernel.steps_per_sec);
-    trace->counter("train_step.steps_per_sec", train.steps_per_sec);
+    trace->counter("lstm_fwd_bwd.steps_per_sec", kernel.ops_per_sec);
+    trace->counter("train_step.steps_per_sec", train.ops_per_sec);
     trace->flush();
   }
   std::printf("=== LSTM kernel bench (batch %zu, seq %zu, hidden %zu) ===\n",
@@ -230,24 +146,21 @@ int main(int argc, char** argv) {
   if (check_allocs) {
     // The deterministic regression gate: the steady-state training step
     // must not touch the heap at all.
-    if (kernel.allocs_per_step > 0.0 || train.allocs_per_step > 0.0) {
+    if (kernel.allocs_per_op > 0.0 || train.allocs_per_op > 0.0) {
       std::printf("FAIL: steady-state heap allocations detected "
                   "(lstm_fwd_bwd %.1f/step, train_step %.1f/step)\n",
-                  kernel.allocs_per_step, train.allocs_per_step);
+                  kernel.allocs_per_op, train.allocs_per_op);
       return 1;
     }
     std::printf("OK: steady state is allocation-free\n");
     return 0;
   }
 
-  write_json(kernel, train);
-  std::printf("wrote BENCH_kernels.json\n");
+  const std::string json_path = data::artifact_path("BENCH_kernels.json");
+  write_json(json_path, kernel, train);
+  std::printf("wrote %s\n", json_path.c_str());
 
-  {
-    std::ofstream metrics(metrics_path);
-    registry.write_json(metrics);
-    metrics << "\n";
-  }
+  registry.write_json_file(metrics_path);
   std::printf("latency p50/p95/p99 (ms): lstm_fwd_bwd %.3f/%.3f/%.3f, "
               "train_step %.3f/%.3f/%.3f\n",
               kernel_hist->quantile(0.50) * 1e3,

@@ -3,7 +3,7 @@
 // scoring, wire serialization, and FedAvg aggregation.  After the
 // google-benchmark suite, main() runs a parallel-vs-serial comparison of
 // the runtime layer (context-aware matmul, parallel prepare_clients) and
-// writes the speedups to BENCH_runtime.json.
+// writes the speedups to build/artifacts/BENCH_runtime.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -13,9 +13,11 @@
 
 #include "anomaly/autoencoder.hpp"
 #include "core/pipeline.hpp"
+#include "data/csv.hpp"
 #include "fl/fedavg.hpp"
 #include "fl/serialize.hpp"
 #include "forecast/model.hpp"
+#include "harness.hpp"
 #include "metrics/timer.hpp"
 #include "nn/loss.hpp"
 #include "runtime/run_context.hpp"
@@ -256,19 +258,17 @@ void run_runtime_comparison() {
             << "s, parallel " << prep.parallel_seconds << "s, speedup "
             << prep.speedup() << "x\n";
 
-  std::ofstream json("BENCH_runtime.json");
+  const std::string json_path = data::artifact_path("BENCH_runtime.json");
+  std::ofstream json(json_path);
   write_json(json, pool.concurrency(), matmul, prep);
-  std::cout << "wrote BENCH_runtime.json\n";
+  std::cout << "wrote " << json_path << "\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);  // consumes the --benchmark_* flags
-  if (argc > 1) {
-    std::cerr << "argument error: unknown option: " << argv[1] << "\n";
-    return 2;
-  }
+  if (const int rc = bench::extra_args(argc, argv, "--benchmark_*")) return rc;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   run_runtime_comparison();

@@ -13,65 +13,29 @@
 //      threads, exit 1 when steady rounds or a 4x larger population inflate
 //      the per-round allocation byte volume beyond tolerance.
 //
-// Writes BENCH_scale.json.
+// Writes build/artifacts/BENCH_scale.json.
 //
 //   bench_scale                  # full sweep (default 256/1024/4096)
 //   bench_scale --clients N      # single fleet size
 //   bench_scale --check-allocs   # CI gate, small fleets, no JSON
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "core/config.hpp"
+#include "data/csv.hpp"
 #include "datagen/fleet.hpp"
 #include "fl/fleet.hpp"
 #include "fl/server.hpp"
 #include "forecast/model.hpp"
+#include "harness.hpp"
 #include "runtime/run_context.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/rng.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-// Same instrumentation as bench_comms / bench_lstm_kernels: replacing the
-// global allocation functions makes every heap allocation visible.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -154,11 +118,9 @@ ScalePoint run_point(std::size_t clients, std::size_t edges,
   // the steady state the sweep compares across fleet sizes.
   driver.run(1);
 
-  const std::uint64_t a0 = g_alloc_count.load();
-  const std::uint64_t b0 = g_alloc_bytes.load();
+  bench::AllocWindow allocs;
   const fl::FederatedRunResult res = driver.run(measure_rounds);
-  const std::uint64_t a1 = g_alloc_count.load();
-  const std::uint64_t b1 = g_alloc_bytes.load();
+  const bench::AllocTotals spent = allocs.take();
 
   ScalePoint p;
   p.clients = clients;
@@ -170,9 +132,9 @@ ScalePoint run_point(std::size_t clients, std::size_t edges,
   p.wire_bytes_per_round = static_cast<double>(res.network.bytes_sent) /
                            static_cast<double>(measure_rounds);
   p.allocs_per_round =
-      static_cast<double>(a1 - a0) / static_cast<double>(measure_rounds);
+      static_cast<double>(spent.count) / static_cast<double>(measure_rounds);
   p.alloc_bytes_per_round =
-      static_cast<double>(b1 - b0) / static_cast<double>(measure_rounds);
+      static_cast<double>(spent.bytes) / static_cast<double>(measure_rounds);
   p.vm_rss_kib = proc_status_kib("VmRSS:");
   p.vm_hwm_kib = proc_status_kib("VmHWM:");
   for (const fl::RoundMetrics& rm : res.rounds) {
@@ -192,7 +154,8 @@ void print_point(const ScalePoint& p) {
               static_cast<double>(p.vm_rss_kib) / 1024.0);
 }
 
-void write_json(const std::vector<ScalePoint>& sweep, std::size_t threads) {
+void write_json(const std::string& path, const std::vector<ScalePoint>& sweep,
+                std::size_t threads) {
   std::size_t max_cohort = 0;
   for (const ScalePoint& p : sweep) {
     max_cohort = std::max(max_cohort, p.sampled_per_round);
@@ -213,7 +176,7 @@ void write_json(const std::vector<ScalePoint>& sweep, std::size_t threads) {
       sweep.size() < 2 || alloc_growth < 0.5 * client_growth ||
       client_growth <= 1.0;
 
-  std::ofstream out("BENCH_scale.json");
+  std::ofstream out(path);
   out << "{\n  \"config\": {\"threads\": " << threads << "},\n  \"sweep\": [\n";
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const ScalePoint& p = sweep[i];
@@ -243,12 +206,7 @@ int main(int argc, char** argv) {
   const bool check_allocs = core::take_flag(argc, argv, "--check-allocs");
   core::ExperimentConfig cfg;
   cfg.threads = 0;  // pool sized to the machine; override with --threads N
-  try {
-    core::apply_cli_overrides(cfg, argc, argv);
-  } catch (const Error& e) {
-    std::cerr << "argument error: " << e.what() << "\n";
-    return 2;
-  }
+  if (const int rc = bench::apply_overrides(cfg, argc, argv)) return rc;
 
   if (check_allocs) {
     // CI gate, serial for determinism: with the sampled cohort held at 32,
@@ -299,7 +257,8 @@ int main(int argc, char** argv) {
     sweep.push_back(run_point(n, edges, cohort, cfg.threads, 2, cfg));
     print_point(sweep.back());
   }
-  write_json(sweep, cfg.threads);
-  std::printf("wrote BENCH_scale.json\n");
+  const std::string json_path = data::artifact_path("BENCH_scale.json");
+  write_json(json_path, sweep, cfg.threads);
+  std::printf("wrote %s\n", json_path.c_str());
   return 0;
 }

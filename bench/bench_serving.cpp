@@ -4,7 +4,7 @@
 // with fp32 and int8 snapshots, plus *heap allocations per scoring batch*
 // — the deterministic metric the perf-smoke CI job pins (timings are
 // trend-watched via the JSON artifact, not gated; shared runners make them
-// noisy).  Writes BENCH_serving.json.
+// noisy).  Writes build/artifacts/BENCH_serving.json.
 //
 //   bench_serving                  # full run: trains briefly, prints
 //                                  # throughput/R2/latency, writes JSON
@@ -14,64 +14,24 @@
 // Honors the serving CLI knobs: --serve-batch N, --threads N (adds a
 // pool-parallel engine measurement; note ThreadPool dispatch itself
 // allocates, so the zero-alloc gate always measures the serial path).
-#include <atomic>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <iostream>
-#include <new>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "core/config.hpp"
 #include "data/csv.hpp"
 #include "data/window.hpp"
 #include "forecast/engine.hpp"
+#include "harness.hpp"
 #include "metrics/regression.hpp"
-#include "metrics/timer.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/trainer.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/rng.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-// Same instrumentation as bench_lstm_kernels: replacing the global
-// allocation functions makes every heap allocation visible, sampled around
-// the measured region only.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -88,45 +48,19 @@ struct BatchStats {
   double p99_ms = 0.0;
 };
 
-/// Time one scoring batch over `iters` iterations after `warmup` unmeasured
-/// ones; allocation counters sample the measured region only.  Throughput
-/// is the fastest of several timing windows — on a shared runner a single
-/// wall-clock window absorbs co-tenant noise bursts, and the minimum is
-/// the standard low-variance estimator of intrinsic compute cost (the
-/// per-batch latency histogram still reflects the full distribution).  A
-/// separate latency pass afterwards fills `hist` without perturbing the
-/// timed loop.
+/// Per-batch throughput, allocations and latency quantiles of one scoring
+/// path: bench::measure over `iters` batches of `batch` forecasts.
 template <typename Fn>
-BatchStats measure(std::size_t warmup, std::size_t iters, std::size_t batch,
-                   obs::Histogram* hist, Fn&& step) {
-  for (std::size_t i = 0; i < warmup; ++i) step();
-  const std::size_t windows = iters >= 5 ? 5 : 1;
-  const std::size_t per_window = iters / windows;
-  const std::uint64_t a0 = g_alloc_count.load();
-  const std::uint64_t b0 = g_alloc_bytes.load();
-  double best_secs = 0.0;
-  for (std::size_t w = 0; w < windows; ++w) {
-    const metrics::WallTimer timer;
-    for (std::size_t i = 0; i < per_window; ++i) step();
-    const double secs = timer.seconds();
-    if (w == 0 || secs < best_secs) best_secs = secs;
-  }
-  const std::uint64_t a1 = g_alloc_count.load();
-  const std::uint64_t b1 = g_alloc_bytes.load();
-  const std::size_t measured = windows * per_window;
+BatchStats measure_batches(std::size_t warmup, std::size_t iters,
+                           std::size_t batch, obs::Histogram* hist,
+                           Fn&& step) {
+  const bench::OpStats op = bench::measure(warmup, iters, step, hist);
   BatchStats s;
-  s.batches_per_sec =
-      best_secs > 0.0 ? static_cast<double>(per_window) / best_secs : 0.0;
-  s.forecasts_per_sec = s.batches_per_sec * static_cast<double>(batch);
-  s.allocs_per_batch = static_cast<double>(a1 - a0) / measured;
-  s.bytes_per_batch = static_cast<double>(b1 - b0) / measured;
+  s.batches_per_sec = op.ops_per_sec;
+  s.forecasts_per_sec = op.ops_per_sec * static_cast<double>(batch);
+  s.allocs_per_batch = op.allocs_per_op;
+  s.bytes_per_batch = op.bytes_per_op;
   if (hist != nullptr) {
-    constexpr std::size_t kSamples = 100;
-    for (std::size_t i = 0; i < kSamples; ++i) {
-      const metrics::WallTimer t;
-      step();
-      hist->record(t.seconds());
-    }
     s.p50_ms = hist->quantile(0.50) * 1e3;
     s.p99_ms = hist->quantile(0.99) * 1e3;
   }
@@ -155,12 +89,7 @@ void json_entry(std::ofstream& out, const char* name, const BatchStats& s,
 int main(int argc, char** argv) {
   const bool check_allocs = core::take_flag(argc, argv, "--check-allocs");
   core::ExperimentConfig cfg;
-  try {
-    core::apply_cli_overrides(cfg, argc, argv);
-  } catch (const Error& e) {
-    std::cerr << "argument error: " << e.what() << "\n";
-    return 2;
-  }
+  if (const int rc = bench::apply_overrides(cfg, argc, argv)) return rc;
 
   const std::size_t batch = cfg.serve_batch;
   const forecast::ForecasterConfig& model_cfg = cfg.forecaster;
@@ -225,7 +154,7 @@ int main(int argc, char** argv) {
   }
   std::vector<float> sink(batch);
   const BatchStats baseline =
-      measure(warmup, iters, batch, base_hist, [&] {
+      measure_batches(warmup, iters, batch, base_hist, [&] {
         for (std::size_t i = 0; i < batch; ++i) {
           const Tensor3 out = model.predict(singles[i]);
           sink[i] = out(0, 0, 0);
@@ -245,10 +174,12 @@ int main(int argc, char** argv) {
   int8.publish(weights);
 
   std::vector<float> out(batch);
-  const BatchStats fp32_stats = measure(warmup, iters, batch, fp32_hist,
-                                        [&] { fp32.score(x, out.data()); });
-  const BatchStats int8_stats = measure(warmup, iters, batch, int8_hist,
-                                        [&] { int8.score(x, out.data()); });
+  const BatchStats fp32_stats =
+      measure_batches(warmup, iters, batch, fp32_hist,
+                      [&] { fp32.score(x, out.data()); });
+  const BatchStats int8_stats =
+      measure_batches(warmup, iters, batch, int8_hist,
+                      [&] { int8.score(x, out.data()); });
 
   std::printf("=== serving bench (batch %zu, seq %zu, hidden %zu, "
               "threads %zu) ===\n",
@@ -290,8 +221,8 @@ int main(int argc, char** argv) {
     runtime::ThreadPool pool(cfg.threads);
     runtime::RunContext ctx;
     ctx.pool = &pool;
-    fp32_mt = measure(warmup, iters, batch, nullptr,
-                      [&] { fp32.score(x, out.data(), &ctx); });
+    fp32_mt = measure_batches(warmup, iters, batch, nullptr,
+                              [&] { fp32.score(x, out.data(), &ctx); });
     print_stats("engine_fp32_pool", fp32_mt);
   }
 
@@ -314,8 +245,9 @@ int main(int argc, char** argv) {
   std::printf("R2: fp32 %.4f, int8 %.4f (cost %.4f)\n", r2_fp32, r2_int8,
               r2_fp32 - r2_int8);
 
+  const std::string json_path = data::artifact_path("BENCH_serving.json");
   {
-    std::ofstream json("BENCH_serving.json");
+    std::ofstream json(json_path);
     json << "{\n  \"config\": {\"batch\": " << batch
          << ", \"seq\": " << model_cfg.sequence_length
          << ", \"hidden\": " << model_cfg.lstm_units
@@ -331,14 +263,10 @@ int main(int argc, char** argv) {
          << "  \"r2_int8\": " << r2_int8 << ",\n"
          << "  \"r2_cost\": " << r2_fp32 - r2_int8 << "\n}\n";
   }
-  std::printf("wrote BENCH_serving.json\n");
+  std::printf("wrote %s\n", json_path.c_str());
 
   const std::string metrics_path = data::artifact_path("serving_metrics.json");
-  {
-    std::ofstream metrics(metrics_path);
-    registry.write_json(metrics);
-    metrics << "\n";
-  }
+  registry.write_json_file(metrics_path);
   std::printf("metrics: %s\n", metrics_path.c_str());
   return 0;
 }

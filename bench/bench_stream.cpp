@@ -42,10 +42,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <iostream>
-#include <new>
 #include <set>
 #include <string>
 #include <thread>
@@ -53,13 +50,14 @@
 #include <vector>
 
 #include "anomaly/threshold.hpp"
-#include "common/error.hpp"
+#include "common/hash.hpp"
 #include "core/config.hpp"
 #include "core/pipeline.hpp"
 #include "data/csv.hpp"
 #include "data/scaler.hpp"
 #include "data/window.hpp"
 #include "forecast/engine.hpp"
+#include "harness.hpp"
 #include "metrics/timer.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -70,42 +68,6 @@
 #include "stream/pipeline.hpp"
 #include "stream/sharded.hpp"
 #include "tensor/rng.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-// Same instrumentation as bench_serving: replacing the global allocation
-// functions makes every heap allocation visible, sampled around the
-// measured region only.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -120,11 +82,8 @@ constexpr float kPi = 3.14159265f;
 /// Deterministic per-(zone, t) ripple in [-1, 1] (splitmix64 hash), so
 /// zone series are reproducible without a shared stateful RNG.
 float ripple(std::size_t zone, std::size_t t) {
-  std::uint64_t x = (static_cast<std::uint64_t>(zone) << 32 | t) +
-                    0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  x ^= x >> 31;
+  const std::uint64_t x =
+      splitmix64(static_cast<std::uint64_t>(zone) << 32 | t);
   return static_cast<float>(x >> 11) * 0x1.0p-52f - 1.0f;
 }
 
@@ -191,12 +150,7 @@ std::size_t equivalence_mismatches(
 int main(int argc, char** argv) {
   const bool check_allocs = core::take_flag(argc, argv, "--check-allocs");
   core::ExperimentConfig cfg;
-  try {
-    core::apply_cli_overrides(cfg, argc, argv);
-  } catch (const Error& e) {
-    std::cerr << "argument error: " << e.what() << "\n";
-    return 2;
-  }
+  if (const int rc = bench::apply_overrides(cfg, argc, argv)) return rc;
 
   const forecast::ForecasterConfig& model_cfg = cfg.forecaster;
   const std::size_t lookback = model_cfg.sequence_length;
@@ -349,13 +303,11 @@ int main(int argc, char** argv) {
     pipe.drain(sink);
 
     const std::size_t meas_batches = 12;
-    const std::uint64_t a0 = g_alloc_count.load();
-    const std::uint64_t b0 = g_alloc_bytes.load();
+    bench::AllocWindow allocs;
     run_batches(meas_batches);
-    const std::uint64_t a1 = g_alloc_count.load();
-    const std::uint64_t b1 = g_alloc_bytes.load();
-    allocs_per_batch = static_cast<double>(a1 - a0) / meas_batches;
-    bytes_per_batch = static_cast<double>(b1 - b0) / meas_batches;
+    const bench::AllocTotals spent = allocs.take();
+    allocs_per_batch = static_cast<double>(spent.count) / meas_batches;
+    bytes_per_batch = static_cast<double>(spent.bytes) / meas_batches;
     std::printf("steady state (%zu shards): %.1f allocs / %.0f bytes per "
                 "ingest batch (%zu batches measured)\n",
                 scfg.shards, allocs_per_batch, bytes_per_batch,
@@ -611,8 +563,9 @@ int main(int argc, char** argv) {
                   ? "gated >= 3x"
                   : "trend only: host has < 8 hardware threads");
 
+  const std::string json_path = data::artifact_path("BENCH_stream.json");
   {
-    std::ofstream json("BENCH_stream.json");
+    std::ofstream json(json_path);
     json << "{\n  \"config\": {\"zones\": " << kZones
          << ", \"hours_per_zone\": " << hours << ", \"seq\": " << lookback
          << ", \"hidden\": " << model_cfg.lstm_units
@@ -658,7 +611,7 @@ int main(int argc, char** argv) {
     }
     json << "\n  ]\n}\n";
   }
-  std::printf("wrote BENCH_stream.json\n");
+  std::printf("wrote %s\n", json_path.c_str());
 
   const std::string metrics_path = data::artifact_path("stream_metrics.json");
   registry.write_json_file(metrics_path);

@@ -5,24 +5,15 @@
 
 #include "core/report.hpp"
 #include "core/scenario_runner.hpp"
+#include "harness.hpp"
 
 using namespace evfl;
 using namespace evfl::core;
 
 int main(int argc, char** argv) {
   std::cout << std::unitbuf;  // progress lines reach redirected logs promptly
-  ExperimentConfig cfg;
-  cfg.threads = 0;  // pool sized to the machine; override with --threads N
-  // The table/figure benches share one expensive pipeline pass (generation,
-  // attack injection, autoencoder fitting) through an on-disk cache keyed
-  // by the config fingerprint.  Pass --cache-dir "" to disable.
-  cfg.cache_dir = "bench_cache";
-  try {
-    apply_cli_overrides(cfg, argc, argv);
-  } catch (const Error& e) {
-    std::cerr << "argument error: " << e.what() << "\n";
-    return 2;
-  }
+  ExperimentConfig cfg = bench::shared_pipeline_config();
+  if (const int rc = bench::apply_overrides(cfg, argc, argv)) return rc;
 
   std::cout << "=== Table II: client-specific anomaly detection results ===\n"
             << "config: " << describe(cfg) << "\n\n";

@@ -36,7 +36,9 @@ std::string pipeline_fingerprint(const ExperimentConfig& cfg) {
      << cfg.filter.autoencoder.val_fraction
      << "|thr:" << anomaly::to_string(cfg.filter.threshold.kind) << ","
      << cfg.filter.threshold.param << "|gap:" << cfg.filter.gap_tolerance
-     << "|split:" << cfg.train_fraction << "|seed:" << cfg.seed;
+     << "|imp:" << anomaly::to_string(cfg.filter.imputation.method) << ","
+     << cfg.filter.imputation.season << "|split:" << cfg.train_fraction
+     << "|seed:" << cfg.seed;
   return os.str();
 }
 

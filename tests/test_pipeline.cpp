@@ -166,6 +166,20 @@ TEST(Pipeline, CacheKeyedByConfig) {
   changed.seed = cfg.seed + 1;
   const auto b = prepare_clients(changed);  // must NOT reuse a's cache
   EXPECT_NE(a[0].attacked.values, b[0].attacked.values);
+
+  // The repair method shapes `filtered` only: same attacked input, so a
+  // cache keyed without it would hand back a's linear repair.
+  ExperimentConfig reimputed = cfg;
+  reimputed.filter.imputation.method =
+      anomaly::ImputationMethod::kSeasonalNaive;
+  const auto c = prepare_clients(reimputed);
+  ASSERT_EQ(c.size(), a.size());
+  bool filtered_differs = false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].attacked.values, c[i].attacked.values);
+    filtered_differs |= a[i].filtered.values != c[i].filtered.values;
+  }
+  EXPECT_TRUE(filtered_differs);
 }
 
 TEST(Pipeline, ScenarioNames) {
