@@ -13,7 +13,7 @@
 //      batch detector, and every point of the shard sweep (drift probe
 //      armed) holds the same bound;
 //   3. zero steady-state allocations — after warmup, a clean ingest batch
-//      (ring pushes, drains, fan-in staging, one merged score call,
+//      (ring pushes, drains, fan-in staging, chunked score calls,
 //      scatter; nothing flagged) never touches the heap;
 //   4. shard scaling — a 1/2/4/8-shard sweep under multi-producer load
 //      records samples/s into BENCH_stream.json; the >=3x-at-8-shards
@@ -226,10 +226,10 @@ int main(int argc, char** argv) {
   // --- 1. frozen-threshold equivalence -------------------------------------
   // Repair off, thresholds frozen at the batch values, queue and rings
   // sized to hold everything, 4 shards and an off-cadence flush: the
-  // fan-in batches vary in width (one merged engine call per round, down
-  // to a single row), yet the determinism contract (DESIGN.md §14) says
-  // the replay must flag exactly the batch anomaly set with bit-identical
-  // scores.
+  // fan-in rounds vary in width (speculative multi-sample rounds scored in
+  // engine-sized chunks, down to a single row), yet the determinism
+  // contract (DESIGN.md §14) says the replay must flag exactly the batch
+  // anomaly set with bit-identical scores.
   std::size_t equiv_events = 0;
   std::size_t equiv_mismatches = 0;
   std::size_t batch_flagged = 0;
@@ -356,9 +356,19 @@ int main(int argc, char** argv) {
     return false;
   };
 
+  // Speculative rows the engine scored but a repair threw away: the
+  // engine's row count over a run minus the rows the pipeline committed.
+  obs::Counter& engine_rows = registry.counter("engine.forecasts_total");
+  const auto discarded_since = [&](double rows_before,
+                                   std::uint64_t committed) {
+    const double rows = engine_rows.value() - rows_before;
+    return static_cast<std::uint64_t>(rows) - committed;
+  };
+
   std::vector<stream::AnomalyEvent> events;
   events.reserve(hours);
   std::uint64_t ingested = 0;
+  const double soak_rows_before = engine_rows.value();
   const metrics::WallTimer soak_timer;
   for (std::size_t t = 0; t < hours; ++t) {
     for (std::size_t z = 0; z < kZones; ++z) {
@@ -372,6 +382,8 @@ int main(int argc, char** argv) {
   const double soak_secs = soak_timer.seconds();
   pipe.drain(events);
   const stream::StreamStats st = pipe.stats();
+  const std::uint64_t soak_discarded =
+      discarded_since(soak_rows_before, st.scored_total);
   const double samples_per_sec =
       soak_secs > 0.0 ? static_cast<double>(ingested) / soak_secs : 0.0;
 
@@ -435,6 +447,7 @@ int main(int argc, char** argv) {
   print_u64("events_total", st.events_total);
   print_u64("events_dropped", st.events_dropped);
   print_u64("repaired_total", st.repaired_total);
+  print_u64("discarded_rows", soak_discarded);
   std::printf("recall on %llu scored attack samples: stream %.4f, batch "
               "%.4f (delta %.4f)\n",
               static_cast<unsigned long long>(labelled), recall_stream,
@@ -458,6 +471,7 @@ int main(int argc, char** argv) {
     std::uint64_t ingest_dropped = 0;
     std::uint64_t reseeds = 0;
     std::uint64_t events = 0;
+    std::uint64_t discarded_rows = 0;
   };
   const unsigned hw_threads = std::thread::hardware_concurrency();
   std::vector<SweepPoint> sweep;
@@ -483,6 +497,7 @@ int main(int argc, char** argv) {
     std::vector<stream::AnomalyEvent> sevents;
     sevents.reserve(hours);
     std::atomic<bool> producers_done{false};
+    const double sweep_rows_before = engine_rows.value();
     const metrics::WallTimer sweep_timer;
     std::thread control([&] {
       while (!producers_done.load(std::memory_order_acquire)) {
@@ -539,6 +554,7 @@ int main(int argc, char** argv) {
     pt.ingest_dropped = sst.ingest_dropped;
     pt.reseeds = sst.reseeds_total;
     pt.events = sst.events_total;
+    pt.discarded_rows = discarded_since(sweep_rows_before, sst.scored_total);
     sweep.push_back(pt);
   }
   const double speedup_8v1 =
@@ -551,12 +567,14 @@ int main(int argc, char** argv) {
               hw_threads);
   for (const SweepPoint& pt : sweep) {
     std::printf("  shards %zu: %9.0f samples/s (%.3f s), recall %.4f "
-                "(delta %.4f), reseeds %llu, dropped %llu, events %llu\n",
+                "(delta %.4f), reseeds %llu, dropped %llu, events %llu, "
+                "discarded rows %llu\n",
                 pt.shards, pt.samples_per_sec, pt.secs, pt.recall,
                 pt.recall_delta,
                 static_cast<unsigned long long>(pt.reseeds),
                 static_cast<unsigned long long>(pt.ingest_dropped),
-                static_cast<unsigned long long>(pt.events));
+                static_cast<unsigned long long>(pt.events),
+                static_cast<unsigned long long>(pt.discarded_rows));
   }
   std::printf("  speedup 8 vs 1 shard: %.2fx (%s)\n", speedup_8v1,
               shard_gate_enforced
@@ -589,6 +607,7 @@ int main(int argc, char** argv) {
          << ", \"events_dropped\": " << st.events_dropped
          << ", \"repaired_total\": " << st.repaired_total
          << ", \"flushes_total\": " << st.flushes_total << "},\n"
+         << "  \"discarded_rows\": " << soak_discarded << ",\n"
          << "  \"labelled_scored_attacks\": " << labelled << ",\n"
          << "  \"recall_stream\": " << recall_stream << ",\n"
          << "  \"recall_batch\": " << recall_batch << ",\n"
@@ -607,7 +626,8 @@ int main(int argc, char** argv) {
            << ", \"recall_delta\": " << pt.recall_delta
            << ", \"ingest_dropped\": " << pt.ingest_dropped
            << ", \"reseeds\": " << pt.reseeds
-           << ", \"events\": " << pt.events << "}";
+           << ", \"events\": " << pt.events
+           << ", \"discarded_rows\": " << pt.discarded_rows << "}";
     }
     json << "\n  ]\n}\n";
   }

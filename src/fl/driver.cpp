@@ -114,10 +114,15 @@ RoundMetrics aggregate_arrivals(Server& server, std::uint32_t round,
   m.timed_out_clients = reachable_clients > fresh ? reachable_clients - fresh : 0;
   // Deterministic aggregation order whatever the arrival schedule: stable
   // sort by client id (duplicates stay adjacent, first arrival first).
-  std::stable_sort(raw.begin(), raw.end(),
-                   [](const WeightUpdate& a, const WeightUpdate& b) {
-                     return a.client_id < b.client_id;
-                   });
+  // Insertion sort in place: arrivals come near-sorted, a swap moves only
+  // vector pointers, and std::stable_sort would take a heap buffer every
+  // round.
+  for (std::size_t i = 1; i < raw.size(); ++i) {
+    for (std::size_t j = i;
+         j > 0 && raw[j].client_id < raw[j - 1].client_id; --j) {
+      std::swap(raw[j], raw[j - 1]);
+    }
+  }
   m.weight_delta = server.finish_round(std::move(raw));
   return m;
 }

@@ -9,6 +9,16 @@
 
 namespace evfl::stream {
 
+namespace {
+
+// Rows one fan-in round may stage across the fleet: a zone's depth cap is
+// kRoundRows / max_zones, so fleets of kRoundRows zones or more stage one
+// sample per zone per round.  Per-row engine cost is flat from ~64 to
+// ~512 rows per round on the paper's model; 256 sits inside that plateau.
+constexpr std::size_t kRoundRows = 256;
+
+}  // namespace
+
 ShardedPipeline::ShardedPipeline(forecast::Engine& engine,
                                  const ShardedConfig& cfg,
                                  obs::Registry* registry,
@@ -26,18 +36,24 @@ ShardedPipeline::ShardedPipeline(forecast::Engine& engine,
                "ShardedPipeline needs max_zones >= 1");
   EVFL_REQUIRE(engine_.model_config().input_features == 1,
                "ShardedPipeline ingests univariate series");
-  // The fan-in merges every shard's rows into ONE engine batch, so the
-  // engine must take the whole fleet at once.
-  const std::size_t batch = cfg_.stream.max_zones;
-  EVFL_REQUIRE(engine_.config().max_batch >= batch,
+  // A round of one sample per zone must fit one engine call, so a fleet
+  // that never speculates scores exactly as wide as it is.
+  const std::size_t max_batch = engine_.config().max_batch;
+  EVFL_REQUIRE(max_batch >= cfg_.stream.max_zones,
                "ShardedPipeline needs engine max_batch >= max_zones");
-  shard_staging_ = tensor::Tensor3(batch, lookback_, 1);
-  staging_ = tensor::Tensor3(batch, lookback_, 1);
-  scores_.assign(batch, 0.0f);
+  depth_cap_ = std::max<std::size_t>(1, kRoundRows / cfg_.stream.max_zones);
+  const std::size_t round_rows = cfg_.stream.max_zones * depth_cap_;
+  chunk_rows_ = std::min(max_batch, round_rows);
+  shard_staging_ = tensor::Tensor3(round_rows, lookback_, 1);
+  for (std::size_t r = 0; r < round_rows; r += chunk_rows_) {
+    chunks_.emplace_back(chunk_rows_, lookback_, 1);
+  }
+  scores_.assign(round_rows, 0.0f);
   zones_.reserve(cfg_.stream.max_zones);
 
   const std::size_t per_shard =
       (cfg_.stream.max_zones + cfg_.shards - 1) / cfg_.shards;
+  const std::size_t shard_rows = per_shard * depth_cap_;
   shards_.reserve(cfg_.shards);
   for (std::size_t s = 0; s < cfg_.shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(cfg_.ring_max, cfg_.ring_shrink));
@@ -45,10 +61,10 @@ ShardedPipeline::ShardedPipeline(forecast::Engine& engine,
     sh.zone_ids.reserve(per_shard);
     sh.drain_buf.reserve(cfg_.ring_max);
     sh.repair.init(lookback_);
-    sh.row_zone.assign(per_shard, 0);
-    sh.row_sample.assign(per_shard, detail::PendingSample{});
-    sh.row_scaled.assign(per_shard, 0.0f);
-    sh.events.reserve(per_shard);
+    sh.row_zone.assign(shard_rows, 0);
+    sh.row_sample.assign(shard_rows, detail::PendingSample{});
+    sh.row_scaled.assign(shard_rows, 0.0f);
+    sh.events.reserve(shard_rows);
   }
 
   if (registry != nullptr) {
@@ -124,30 +140,102 @@ void ShardedPipeline::drain_ring(Shard& sh) {
 void ShardedPipeline::stage_shard(Shard& sh) {
   sh.rows = 0;
   float* base = shard_staging_.data() + sh.stage_base * lookback_;
-  for (std::uint32_t zid : sh.zone_ids) {
-    detail::ZoneState& z = zones_[zid];
-    if (z.cursor >= z.queue.size()) continue;
-    const detail::PendingSample p = z.queue[z.cursor++];
-    --sh.pending;
-    float scaled = 0.0f;
-    if (!detail::prepare_sample(z, p, lookback_, policy_, sh.repair, sh.stats,
-                                scaled)) {
-      continue;
-    }
-    z.stage_window(base + sh.rows * lookback_, lookback_);
+  const auto add_row = [&](std::uint32_t zid, const detail::PendingSample& p,
+                           float scaled) {
     sh.row_zone[sh.rows] = zid;
     sh.row_sample[sh.rows] = p;
     sh.row_scaled[sh.rows] = scaled;
     ++sh.rows;
+  };
+  for (std::uint32_t zid : sh.zone_ids) {
+    detail::ZoneState& z = zones_[zid];
+    const std::size_t first = sh.rows;
+    // Commit leading not-ready samples (they need no score) and stage the
+    // first ready one; prepare_sample commits its clock and counts now.
+    while (sh.rows == first && z.cursor < z.queue.size()) {
+      const detail::PendingSample p = z.queue[z.cursor++];
+      --sh.pending;
+      float scaled = 0.0f;
+      if (!detail::prepare_sample(z, p, lookback_, policy_, sh.repair,
+                                  sh.stats, scaled)) {
+        continue;
+      }
+      z.stage_window(base + sh.rows * lookback_, lookback_);
+      add_row(zid, p, scaled);
+    }
+    if (sh.rows == first) continue;
+    // Speculate: assuming the previous sample is pushed unchanged, the
+    // next window is the previous row shifted by one plus its scaled
+    // value.  Read-only: zone state and stats change only at commit.  A
+    // non-finite value is never pushed as is and a clock break resets
+    // the window, so either ends the zone's rows for this round.
+    while (sh.rows - first < z.depth && z.cursor < z.queue.size()) {
+      const detail::PendingSample& prev = sh.row_sample[sh.rows - 1];
+      const float prev_scaled = sh.row_scaled[sh.rows - 1];
+      const detail::PendingSample p = z.queue[z.cursor];
+      if (!std::isfinite(prev_scaled) || p.t != prev.t + 1) break;
+      float* row = base + sh.rows * lookback_;
+      std::memcpy(row, row - lookback_ + 1, (lookback_ - 1) * sizeof(float));
+      row[lookback_ - 1] = prev_scaled;
+      add_row(zid, p, z.scaler.transform_one(p.raw));
+      ++z.cursor;
+      --sh.pending;
+    }
+  }
+}
+
+void ShardedPipeline::score_round(std::size_t rows,
+                                  const runtime::RunContext* ctx) {
+  const std::size_t n_chunks = (rows + chunk_rows_ - 1) / chunk_rows_;
+  if (n_chunks == 1) {
+    engine_.score_prefix(chunks_[0], rows, scores_.data(), ctx);
+    return;
+  }
+  // Several chunks: each is one serial engine call, and the pool spreads
+  // the calls (rows land at fixed offsets, so any schedule gives the same
+  // bits).
+  const auto score_chunks = [&](std::size_t b, std::size_t e) {
+    for (std::size_t c = b; c < e; ++c) {
+      const std::size_t r0 = c * chunk_rows_;
+      engine_.score_prefix(chunks_[c], std::min(chunk_rows_, rows - r0),
+                           scores_.data() + r0, nullptr);
+    }
+  };
+  if (ctx != nullptr && ctx->parallel()) {
+    ctx->parallel_for(n_chunks, 1, score_chunks);
+  } else {
+    score_chunks(0, n_chunks);
   }
 }
 
 void ShardedPipeline::scatter_shard(Shard& sh) {
-  for (std::size_t i = 0; i < sh.rows; ++i) {
-    detail::apply_forecast(zones_[sh.row_zone[i]], sh.row_zone[i],
-                           sh.row_sample[i], sh.row_scaled[i],
-                           scores_[sh.row_offset + i], lookback_, policy_,
-                           sh.repair, sh.stats, sh.events);
+  for (std::size_t i = 0; i < sh.rows;) {
+    const std::uint32_t zid = sh.row_zone[i];
+    detail::ZoneState& z = zones_[zid];
+    std::size_t end = i + 1;
+    while (end < sh.rows && sh.row_zone[end] == zid) ++end;
+    bool clean = true;
+    for (std::size_t r = i; r < end && clean; ++r) {
+      float scaled = sh.row_scaled[r];
+      // A speculative row commits its clock and counts first; its window
+      // is the zone's own now that every earlier row pushed unchanged.
+      if (r > i) {
+        detail::prepare_sample(z, sh.row_sample[r], lookback_, policy_,
+                               sh.repair, sh.stats, scaled);
+      }
+      clean = detail::apply_forecast(z, zid, sh.row_sample[r], scaled,
+                                     scores_[sh.row_offset + r], lookback_,
+                                     policy_, sh.repair, sh.stats, sh.events);
+      if (!clean) {
+        // Repaired or reset: the zone's later rows were scored against a
+        // window it never had.  Re-stage them next round.
+        const std::size_t dropped = end - r - 1;
+        z.cursor -= dropped;
+        sh.pending += dropped;
+      }
+    }
+    z.depth = clean ? std::min(2 * z.depth, depth_cap_) : 1;
+    i = end;
   }
 }
 
@@ -178,49 +266,57 @@ std::size_t ShardedPipeline::flush(const runtime::RunContext* ctx) {
   const std::size_t processed = total_pending;
   if (processed == 0) return 0;
 
-  // Shard staging regions are contiguous id-order blocks; sizes are fixed
-  // for the whole flush (topology is setup-phase only).
+  // Shard staging regions are contiguous id-order blocks of depth-cap
+  // rows per zone; sizes are fixed for the whole flush (topology is
+  // setup-phase only).
   std::size_t stage_base = 0;
   for (auto& sh : shards_) {
     sh->stage_base = stage_base;
-    stage_base += sh->zone_ids.size();
+    stage_base += sh->zone_ids.size() * depth_cap_;
   }
 
   while (total_pending > 0) {
-    // One fan-in round: every shard advances each of its zones by at most
-    // one sample (intra-zone order is load-bearing: repairing sample t
-    // changes the window sample t+1 is scored against) ...
+    // One fan-in round: every shard stages up to depth samples per zone
+    // (intra-zone order is load-bearing: repairing sample t changes the
+    // window sample t+1 is scored against, so rows past t are
+    // speculative) ...
     run_shards([&](Shard& sh) { stage_shard(sh); });
 
-    // ... the control thread compacts the shards' staged blocks into one
-    // contiguous prefix and scores it in a single engine call covering
-    // every shard — batch efficiency scales with fleet size, not
-    // per-shard zone count ...
+    // ... the control thread compacts the shards' staged blocks into
+    // consecutive engine-sized chunks and scores every shard's rows
+    // together — batch efficiency scales with round size, not per-shard
+    // zone count ...
     std::size_t total_rows = 0;
     for (auto& sh : shards_) {
       sh->row_offset = total_rows;
-      if (sh->rows > 0) {
-        std::memcpy(staging_.data() + total_rows * lookback_,
-                    shard_staging_.data() + sh->stage_base * lookback_,
-                    sh->rows * lookback_ * sizeof(float));
+      const float* src = shard_staging_.data() + sh->stage_base * lookback_;
+      for (std::size_t left = sh->rows; left > 0;) {
+        const std::size_t at = total_rows % chunk_rows_;
+        const std::size_t n = std::min(left, chunk_rows_ - at);
+        std::memcpy(chunks_[total_rows / chunk_rows_].data() + at * lookback_,
+                    src, n * lookback_ * sizeof(float));
+        src += n * lookback_;
+        total_rows += n;
+        left -= n;
       }
-      total_rows += sh->rows;
+    }
+
+    if (total_rows > 0) {  // else the whole round was not-ready samples
+      score_round(total_rows, ctx);
+
+      // ... then shards scatter their score slice back through the shared
+      // per-zone state machine, lock-free on their own zones, rolling back
+      // rows a repair invalidated.
+      run_shards([&](Shard& sh) { scatter_shard(sh); });
+
+      // Event fan-in in shard order: deterministic consumer-visible order.
+      for (auto& sh : shards_) {
+        for (const AnomalyEvent& ev : sh->events) queue_.push(ev);
+        sh->events.clear();
+      }
     }
     total_pending = 0;
     for (const auto& sh : shards_) total_pending += sh->pending;
-    if (total_rows == 0) continue;  // whole round was not-ready samples
-
-    engine_.score_prefix(staging_, total_rows, scores_.data(), ctx);
-
-    // ... then shards scatter their score slice back through the shared
-    // per-zone state machine, lock-free on their own zones.
-    run_shards([&](Shard& sh) { scatter_shard(sh); });
-
-    // Event fan-in in shard order: deterministic consumer-visible order.
-    for (auto& sh : shards_) {
-      for (const AnomalyEvent& ev : sh->events) queue_.push(ev);
-      sh->events.clear();
-    }
   }
 
   for (detail::ZoneState& z : zones_) {

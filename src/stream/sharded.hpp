@@ -13,30 +13,41 @@
 //     (mpsc_ring.hpp — reserve/commit fast path, drop-oldest past the hard
 //     bound with an exact count, shrink-on-drain).  Producers never flush;
 //     the control thread drives cadence;
-//   - flush() fans in: every shard stages its ready rows into its own
-//     region of a staging tensor, the control thread compacts those
-//     regions into one contiguous prefix and makes a single
-//     forecast::Engine::score() call for ALL shards' rows — engine batch
-//     efficiency scales with total zones, not per-shard zones — then
-//     shards scatter their scores back through apply_forecast() in
-//     parallel;
+//   - flush() runs fan-in rounds: every shard stages rows into its own
+//     region of a staging tensor — per zone, the first ready sample plus
+//     up to depth - 1 later ones staged speculatively, assuming no repair
+//     (each such row is the previous row shifted by one plus the previous
+//     sample's scaled value).  The control thread compacts those regions
+//     into engine-sized chunks (max_batch rows) and scores them: one
+//     forecast::Engine::score_prefix() call when the round fits one chunk,
+//     else one serial call per chunk spread over the pool — engine batch
+//     efficiency scales with total rows, not per-shard zones.  Shards then
+//     scatter their scores back through apply_forecast() in parallel, in
+//     zone sample order; a repair (or window reset) proves the zone's
+//     later rows wrong, so they are dropped and re-staged next round.  A
+//     zone's depth doubles after a round whose rows all commit and falls
+//     back to 1 on a rollback, capped at max(1, 256 / max_zones): narrow
+//     fleets replay a backlog in rounds of up to 256 rows, while fleets of
+//     256 zones or more stage one sample per zone per round;
 //   - events fan in to one event ring (the same MpscRing type) in shard
 //     order (shard 0's zones first), so consumer-visible order is
 //     deterministic; a stalled consumer costs bounded memory and a counted
 //     drop, never an unbounded buffer.
 //
 // Determinism contract: per-zone outputs (scores, flags, events,
-// thresholds) are bit-identical regardless of shard count, flush cadence
-// or producer interleaving, and — frozen — bit-identical to
-// batch_scores().  The argument: the engine's per-row results are
+// thresholds) are bit-identical regardless of shard count, flush cadence,
+// speculation depth or producer interleaving, and — frozen — bit-identical
+// to batch_scores().  The argument: the engine's per-row results are
 // independent of batch size and composition, a 1-row round included
-// (pinned by the engine's own tests); zone state is touched only by its
+// (pinned by the engine's own tests); a speculative row commits only when
+// its window is the one the zone would have built (every earlier sample of
+// the round was pushed unchanged); zone state is touched only by its
 // owning shard in the zone's sample order; and per-zone sample order is
 // whatever the producers delivered — identical interleavings give
 // identical results, and a single producer per zone (the common collector
 // topology) makes the whole pipeline deterministic end to end
 // (tests/test_sharded.cpp pins 1/2/4/8-shard equality, frozen and
-// adaptive).
+// adaptive, and equality across depth caps 1/4/42).
 //
 // Threading: ingest() from any number of threads, concurrently with one
 // control thread calling flush(); drain() is safe from consumer threads.
@@ -80,7 +91,8 @@ struct ShardedConfig {
 class ShardedPipeline {
  public:
   /// The engine must outlive the pipeline and accept batches of
-  /// cfg.stream.max_zones.  `registry` (optional) receives
+  /// cfg.stream.max_zones (wider rounds are scored in max_batch-row
+  /// chunks).  `registry` (optional) receives
   /// stream.queue_depth / stream.events_dropped gauges,
   /// stream.samples_total / events_total / not_ready_total / gaps_total /
   /// reseeds_total / ingest_dropped counters and a stream.flush_seconds
@@ -117,10 +129,12 @@ class ShardedPipeline {
   void ingest(std::uint32_t zone, std::uint64_t t, float value);
 
   /// Control thread: drain every shard ring into its zones' queues, then
-  /// score all pending samples in fan-in rounds (one merged engine batch
-  /// per round).  Shard stage/scatter phases run on `ctx` when it carries
-  /// a pool; serial (and allocation-free after warmup) otherwise.
-  /// Returns samples processed (scored + not-ready).
+  /// score all pending samples in fan-in rounds (up to each zone's depth
+  /// of samples per zone per round, scored in max_batch-row chunks; rows
+  /// after a repair are rolled back and re-staged).  Shard stage/scatter
+  /// phases and multi-chunk scoring run on `ctx` when it carries a pool;
+  /// serial (and allocation-free after warmup) otherwise.  Returns
+  /// samples processed (scored + not-ready).
   std::size_t flush(const runtime::RunContext* ctx = nullptr);
 
   /// Move queued events into `out` (fan-in order); safe from any number of
@@ -167,7 +181,11 @@ class ShardedPipeline {
     std::size_t pending = 0;  // queued-in-zones, not yet processed
     // Per-round staging metadata: the shard's staged rows live at
     // [stage_base, stage_base + rows) of the shard staging tensor and
-    // score at [row_offset, row_offset + rows) of the merged batch.
+    // score at [row_offset, row_offset + rows) of the round.  A zone's
+    // rows are contiguous and in sample order; its first row went
+    // through prepare_sample at stage time, the rest are speculative and
+    // commit (prepare_sample, then apply_forecast) only at scatter.
+    // Sized for zone_ids.size() x depth cap rows.
     std::size_t stage_base = 0;
     std::size_t rows = 0;
     std::size_t row_offset = 0;
@@ -179,6 +197,7 @@ class ShardedPipeline {
 
   void drain_ring(Shard& sh);
   void stage_shard(Shard& sh);
+  void score_round(std::size_t rows, const runtime::RunContext* ctx);
   void scatter_shard(Shard& sh);
   const detail::ZoneState& zone_at(std::uint32_t zone) const;
   void publish_telemetry(const StreamStats& agg);
@@ -187,15 +206,18 @@ class ShardedPipeline {
   ShardedConfig cfg_;
   detail::ZonePolicy policy_;
   std::size_t lookback_;
+  std::size_t depth_cap_ = 1;   // max(1, 256 / max_zones)
+  std::size_t chunk_rows_ = 1;  // rows per engine call: min(max_batch, round)
 
   std::vector<detail::ZoneState> zones_;  // indexed by global zone id
   std::vector<std::unique_ptr<Shard>> shards_;
 
   // Fan-in scratch: shards stage into disjoint regions of shard_staging_;
-  // the control thread compacts live rows into a contiguous prefix of
-  // staging_ and scores once.
+  // the control thread compacts live rows into consecutive chunk_rows_-row
+  // chunks (row r lands in chunks_[r / chunk_rows_]) and scores them into
+  // scores_[r].  All sized for max_zones x depth_cap_ rows.
   tensor::Tensor3 shard_staging_;
-  tensor::Tensor3 staging_;
+  std::vector<tensor::Tensor3> chunks_;
   std::vector<float> scores_;
 
   MpscRing<AnomalyEvent> queue_;

@@ -78,7 +78,7 @@ bool prepare_sample(ZoneState& z, const PendingSample& p,
   return true;
 }
 
-void apply_forecast(ZoneState& z, std::uint32_t zone,
+bool apply_forecast(ZoneState& z, std::uint32_t zone,
                     const PendingSample& p, float scaled, float forecast,
                     std::size_t lookback, const ZonePolicy& pol,
                     RepairScratch& repair, StreamStats& stats,
@@ -144,11 +144,12 @@ void apply_forecast(ZoneState& z, std::uint32_t zone,
 
   if (std::isfinite(stored)) {
     z.push_window(stored, lookback);
-  } else {
-    // Non-finite sample with repair disabled: the window would be
-    // poisoned for the next lookback scores — drop to not-ready.
-    z.reset_window();
+    return !repaired;
   }
+  // Non-finite sample with repair disabled: the window would be poisoned
+  // for the next lookback scores — drop to not-ready.
+  z.reset_window();
+  return false;
 }
 
 }  // namespace evfl::stream::detail

@@ -16,7 +16,10 @@
 //                       against the pre-observation threshold, append an
 //                       event, fold the score in winsorized, let the
 //                       drift probe re-seed the estimator, and extend the
-//                       window with the stored (possibly repaired) value.
+//                       window with the stored (possibly repaired) value;
+//                       it reports whether that value was the staged one,
+//                       which is what lets the pipeline stage a zone's
+//                       later samples before this one is scored.
 //
 // Both functions touch only the one ZoneState plus caller-owned scratch
 // and stats, so shard workers run them lock-free on disjoint zones — the
@@ -91,6 +94,10 @@ struct ZoneState {
   bool frozen = false;
   std::vector<PendingSample> queue;  // unprocessed samples, ingest order
   std::size_t cursor = 0;            // next unprocessed index
+  // Samples the pipeline stages for this zone per flush round: doubles
+  // after a round whose rows all commit, back to 1 when apply_forecast
+  // does not push a row's staged value (a repair or a window reset).
+  std::size_t depth = 1;
 
   /// Size the window and estimator; `drift_z` <= 0 leaves the probe
   /// disabled.  `queue` grows on demand during warmup and keeps its
@@ -156,7 +163,10 @@ bool prepare_sample(ZoneState& z, const PendingSample& p,
 /// Post-score half: score = (forecast - scaled)², decide against the
 /// pre-observation threshold, append any event to `events` (zone id
 /// `zone`), adapt winsorized, run the drift probe, extend the window.
-void apply_forecast(ZoneState& z, std::uint32_t zone,
+/// Returns true when the window was extended with `scaled` itself; false
+/// when the sample was repaired or the window reset, i.e. when a window
+/// built by appending `scaled` is not the zone's next window.
+bool apply_forecast(ZoneState& z, std::uint32_t zone,
                     const PendingSample& p, float scaled, float forecast,
                     std::size_t lookback, const ZonePolicy& pol,
                     RepairScratch& repair, StreamStats& stats,

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <map>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -606,16 +608,21 @@ auto stats_fields(const StreamStats& s) {
 
 /// The adaptive contract's fixture: seeded thresholds, repair on, drift
 /// armed; zone 1 and 4 miss ticks (gaps), zone 2 delivers a NaN, every zone
-/// gets a short attack burst, and zones 0 and 3 shift level for good.
+/// gets a short attack burst, and zones 0 and 3 shift level for good.  The
+/// six zones register in a pipeline sized for `max_zones`; calibration
+/// scores come from `calib_engine` when given, else from `engine`.
 AdaptiveRun run_adaptive(Engine& engine, std::size_t shards,
-                         const runtime::RunContext* ctx) {
+                         const runtime::RunContext* ctx,
+                         std::size_t max_zones = 6,
+                         Engine* calib_engine = nullptr) {
   constexpr std::size_t kZones = 6;
   constexpr std::size_t kTicks = 420;
   constexpr std::size_t kCalib = 100;
+  Engine& calib = calib_engine != nullptr ? *calib_engine : engine;
 
   ShardedConfig cfg;
   cfg.shards = shards;
-  cfg.stream.max_zones = kZones;
+  cfg.stream.max_zones = max_zones;
   cfg.stream.threshold = {anomaly::ThresholdKind::kPercentile, 98.0};
   cfg.stream.drift_z = 4.0;
   cfg.stream.drift_window = 32;
@@ -627,7 +634,7 @@ AdaptiveRun run_adaptive(Engine& engine, std::size_t shards,
     pipe.add_zone(identity_scaler());
     pipe.seed_threshold(
         static_cast<std::uint32_t>(z),
-        batch_scores(engine, {v.begin(), v.begin() + kCalib}));
+        batch_scores(calib, {v.begin(), v.begin() + kCalib}));
     for (std::size_t k = 0; k < 3; ++k) v[150 + 20 * z + k] = 3.0f;
     if (z == 0 || z == 3) {
       for (std::size_t t = 260; t < kTicks; ++t) v[t] += 0.4f;
@@ -697,6 +704,62 @@ TEST(ShardedPipeline, AdaptiveBitIdenticalAcrossShardCountsAndPool) {
   EXPECT_EQ(pooled.trace, base.trace);
   EXPECT_EQ(pooled.final_thresholds, base.final_thresholds);
   EXPECT_EQ(stats_fields(pooled.stats), stats_fields(base.stats));
+}
+
+TEST(ShardedPipeline, SpeculativeDepthBitIdentical) {
+  // Speculation is invisible: the same six zones in pipelines sized for
+  // 256, 64 and 6 zones stage up to 1, 4 and 42 samples per zone per
+  // round, scored by an engine that takes the whole round or by one that
+  // takes only max_zones rows per call (forcing chunked scoring), serially
+  // or over a pool.  Repairs roll speculative rows back; every per-zone
+  // bit and counter must match the one-sample-per-round run.
+  const ForecasterConfig model = small_config();
+  tensor::Rng rng(7);
+  const std::vector<float> weights =
+      forecast::make_forecaster(model, rng).get_weights();
+  Engine calib(model);
+  calib.publish(weights);
+  runtime::ThreadPool pool(3);
+  runtime::RunContext pooled;
+  pooled.pool = &pool;
+  const runtime::RunContext* const contexts[] = {nullptr, &pooled};
+
+  bool have_base = false;
+  AdaptiveRun base;
+  for (std::size_t max_zones : {256u, 64u, 6u}) {
+    const std::size_t cap = std::max<std::size_t>(1, 256 / max_zones);
+    for (std::size_t max_batch : {std::size_t{256}, max_zones}) {
+      for (const runtime::RunContext* ctx : contexts) {
+        obs::Registry registry;
+        forecast::EngineConfig ec;
+        ec.max_batch = max_batch;
+        Engine engine(model, ec, &registry);
+        engine.publish(weights);
+        const AdaptiveRun r = run_adaptive(engine, 2, ctx, max_zones, &calib);
+        const double forecasts =
+            registry.counter("engine.forecasts_total").value();
+        const double scored = static_cast<double>(r.stats.scored_total);
+        const std::string where = "max_zones=" + std::to_string(max_zones) +
+                                  " max_batch=" + std::to_string(max_batch) +
+                                  (ctx != nullptr ? " pooled" : " serial");
+        if (cap > 1) {
+          // Some speculative rows were scored and thrown away.
+          EXPECT_GT(forecasts, scored) << where;
+        } else {
+          EXPECT_EQ(forecasts, scored) << where;
+        }
+        if (!have_base) {
+          base = r;
+          have_base = true;
+          ASSERT_GT(base.stats.repaired_total, 0u);
+          continue;
+        }
+        EXPECT_EQ(r.trace, base.trace) << where;
+        EXPECT_EQ(r.final_thresholds, base.final_thresholds) << where;
+        EXPECT_EQ(stats_fields(r.stats), stats_fields(base.stats)) << where;
+      }
+    }
+  }
 }
 
 // ---- Validation -------------------------------------------------------------
