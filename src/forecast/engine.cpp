@@ -26,11 +26,9 @@ using nn::tanh_gate;
 using tensor::ConstMatView;
 using tensor::MatView;
 
-/// fp32 panel width: the packed recurrent kernel computes 32 output
-/// columns (4 ymm accumulators) per pass, and the padded gate stride is a
-/// multiple of this so panel stores never cross a row.
-constexpr std::size_t kPanelF32 = 32;
-/// int8 panel width: 16 output columns per pass (2 ymm of s32 dots).
+/// int8 panel width: 16 output columns per pass (2 ymm of s32 dots).  The
+/// padded gate stride is a multiple of this so panel stores never cross a
+/// row.
 constexpr std::size_t kPanelS8 = 16;
 /// int8 k interleave: vpmaddubsw + vpmaddwd consume 4 k's per column.
 constexpr std::size_t kQuad = 4;
@@ -109,86 +107,6 @@ void fused_init_z(float* z, std::size_t zstride, std::size_t nb,
     }
   }
 }
-
-#if defined(__AVX2__)
-/// Register-blocked recurrent GEMM on the packed panel layout:
-/// z[r][p·32..p·32+32) += h[r]·wh_panel(p).  Panels are looped outermost
-/// so a ~H·32-float weight panel stays L1-resident across every row of
-/// the batch (the naive row-major kernel re-streams the whole 4H·H
-/// kernel from L2 per row, which is what made it memory-bound).  Two
-/// rows share each weight load; per-column accumulation is ascending-k in
-/// both the 2-row block and the 1-row tail, so results are independent of
-/// the row partition (a batch of 1 gets the same bits as a wide batch).
-void gemm_f32_panels(const float* hbuf, std::size_t h, float* z,
-                     std::size_t zstride, std::size_t nb,
-                     const std::vector<float>& panels) {
-  const std::size_t np = zstride / kPanelF32;
-  for (std::size_t p = 0; p < np; ++p) {
-    const float* wpanel = panels.data() + p * h * kPanelF32;
-    const std::size_t j = p * kPanelF32;
-    std::size_t r = 0;
-    for (; r + 2 <= nb; r += 2) {
-      const float* h0 = hbuf + r * h;
-      const float* h1 = h0 + h;
-      float* z0 = z + r * zstride + j;
-      float* z1 = z0 + zstride;
-      __m256 a00 = _mm256_loadu_ps(z0);
-      __m256 a01 = _mm256_loadu_ps(z0 + 8);
-      __m256 a02 = _mm256_loadu_ps(z0 + 16);
-      __m256 a03 = _mm256_loadu_ps(z0 + 24);
-      __m256 a10 = _mm256_loadu_ps(z1);
-      __m256 a11 = _mm256_loadu_ps(z1 + 8);
-      __m256 a12 = _mm256_loadu_ps(z1 + 16);
-      __m256 a13 = _mm256_loadu_ps(z1 + 24);
-      const float* wk = wpanel;
-      for (std::size_t k = 0; k < h; ++k, wk += kPanelF32) {
-        const __m256 w0 = _mm256_loadu_ps(wk);
-        const __m256 w1 = _mm256_loadu_ps(wk + 8);
-        const __m256 w2 = _mm256_loadu_ps(wk + 16);
-        const __m256 w3 = _mm256_loadu_ps(wk + 24);
-        const __m256 b0 = _mm256_set1_ps(h0[k]);
-        const __m256 b1 = _mm256_set1_ps(h1[k]);
-        a00 = mul_add(b0, w0, a00);
-        a01 = mul_add(b0, w1, a01);
-        a02 = mul_add(b0, w2, a02);
-        a03 = mul_add(b0, w3, a03);
-        a10 = mul_add(b1, w0, a10);
-        a11 = mul_add(b1, w1, a11);
-        a12 = mul_add(b1, w2, a12);
-        a13 = mul_add(b1, w3, a13);
-      }
-      _mm256_storeu_ps(z0, a00);
-      _mm256_storeu_ps(z0 + 8, a01);
-      _mm256_storeu_ps(z0 + 16, a02);
-      _mm256_storeu_ps(z0 + 24, a03);
-      _mm256_storeu_ps(z1, a10);
-      _mm256_storeu_ps(z1 + 8, a11);
-      _mm256_storeu_ps(z1 + 16, a12);
-      _mm256_storeu_ps(z1 + 24, a13);
-    }
-    for (; r < nb; ++r) {
-      const float* h0 = hbuf + r * h;
-      float* z0 = z + r * zstride + j;
-      __m256 a00 = _mm256_loadu_ps(z0);
-      __m256 a01 = _mm256_loadu_ps(z0 + 8);
-      __m256 a02 = _mm256_loadu_ps(z0 + 16);
-      __m256 a03 = _mm256_loadu_ps(z0 + 24);
-      const float* wk = wpanel;
-      for (std::size_t k = 0; k < h; ++k, wk += kPanelF32) {
-        const __m256 b0 = _mm256_set1_ps(h0[k]);
-        a00 = mul_add(b0, _mm256_loadu_ps(wk), a00);
-        a01 = mul_add(b0, _mm256_loadu_ps(wk + 8), a01);
-        a02 = mul_add(b0, _mm256_loadu_ps(wk + 16), a02);
-        a03 = mul_add(b0, _mm256_loadu_ps(wk + 24), a03);
-      }
-      _mm256_storeu_ps(z0, a00);
-      _mm256_storeu_ps(z0 + 8, a01);
-      _mm256_storeu_ps(z0 + 16, a02);
-      _mm256_storeu_ps(z0 + 24, a03);
-    }
-  }
-}
-#endif  // __AVX2__
 
 /// Quantize activation rows for the unsigned int8 kernel: per-row
 /// symmetric scale maxabs/127 (dynamic — no calibration pass; hmax[r] =
@@ -474,7 +392,7 @@ void Engine::freeze_into(Snapshot& snap, const std::vector<float>& flat) {
   const float* b2 = w2 + d;
 
   snap.quantized = cfg_.precision == ServePrecision::kInt8;
-  snap.zstride = roundup(g4, kPanelF32);
+  snap.zstride = roundup(g4, kPanelS8);
   // Biases stay fp32 in both modes: they are O(params/50) bytes and
   // quantizing them buys nothing.
   assign_mat(snap.b1, 1, d, b1);
@@ -486,24 +404,10 @@ void Engine::freeze_into(Snapshot& snap, const std::vector<float>& flat) {
     build_quant_mat(wh, h, g4, snap.wh_q, freeze_col_, freeze_scales_,
                     freeze_quants_);
     snap.wh = tensor::Matrix();
-    snap.wh_panels.clear();
   } else {
     assign_mat(snap.wh, h, g4, wh);
     assign_mat(snap.w1, h, d, w1);
     assign_mat(snap.w2, d, 1, w2);
-    // Packed panels for the register-blocked recurrent GEMM
-    // ([panel][k][32], zero-padded columns).
-    snap.wh_panels.assign(snap.zstride * h, 0.0f);
-    for (std::size_t p = 0; p < snap.zstride / kPanelF32; ++p) {
-      for (std::size_t k = 0; k < h; ++k) {
-        for (std::size_t j = 0; j < kPanelF32; ++j) {
-          const std::size_t col = p * kPanelF32 + j;
-          if (col < g4) {
-            snap.wh_panels[(p * h + k) * kPanelF32 + j] = wh[k * g4 + col];
-          }
-        }
-      }
-    }
   }
   // Padded bias / input kernel for the fused z-init.  Under kInt8 the
   // input kernel comes from the round-tripped wx so the engine serves the
@@ -628,10 +532,10 @@ void Engine::score_rows(const Snapshot& snap, const tensor::Tensor3& x,
   const ConstMatView hv{hbuf, nb, h, h};
   const float* x0 = x.data() + row_begin * t_len * in;
 
-  // One path for every batch size: fused z-init, register-blocked (or
-  // integer) recurrent GEMM, fused rational gates + cell update.  Each
-  // kernel handles rows independently, so a row's bits never depend on
-  // how many rows share the call.
+  // One path for every batch size: fused z-init, the training path's
+  // matmul_acc (or the integer kernel) for the recurrent GEMM, fused
+  // rational gates + cell update.  Each kernel handles rows independently,
+  // so a row's bits never depend on how many rows share the call.
   for (std::size_t t = 0; t < t_len; ++t) {
     fused_init_z(z, zstride, nb, x0 + t * in, t_len * in, in, snap.b_pad,
                  snap.wx_pad);
@@ -643,11 +547,7 @@ void Engine::score_rows(const Snapshot& snap, const tensor::Tensor3& x,
                                          hbuf + r * h, h);
       }
     } else {
-#if defined(__AVX2__)
-      gemm_f32_panels(hbuf, h, z, zstride, nb, snap.wh_panels);
-#else
       tensor::matmul_acc(hv, snap.wh.view(), MatView{z, nb, 4 * h, zstride});
-#endif
       for (std::size_t r = 0; r < nb; ++r) {
         fused_gates_cell<false>(z + r * zstride, cbuf + r * h, hbuf + r * h,
                                 h);

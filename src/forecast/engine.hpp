@@ -20,8 +20,9 @@
 //    counters into an optional obs::Registry.
 //
 // Determinism: one kernel path per precision, for every batch size.  fp32
-// runs fused z-init, the packed-panel recurrent GEMM and the nn/gates.hpp
-// rational tanh/sigmoid that training evaluates too; int8 runs the u8×s7
+// runs fused z-init, the training path's tensor::matmul_acc for the
+// recurrent GEMM and the nn/gates.hpp rational tanh/sigmoid that training
+// evaluates too; int8 runs the u8×s7
 // integer kernel with the same gates.  An fp32 row therefore agrees with
 // the training-path Sequential::predict bit for bit.  A row's result
 // depends only on its own data and the precision — never on batch size or
@@ -147,20 +148,17 @@ class Engine {
   /// recurrent kernel wh, which stays quantized under kInt8 (wx/w1/w2 are
   /// round-tripped through the int8 grid at freeze time, then dequantized
   /// — they are <10% of the parameters, so fp32 compute there costs
-  /// nothing while keeping one code path).  Scoring reads the packed
-  /// views: b_pad/wx_pad are the bias and input kernel zero-padded to the
-  /// padded gate stride (zstride = 4H rounded up to 32) so the fused
-  /// z-init writes whole padded rows, and wh_panels repacks wh into
-  /// L1-resident 32-column panels ([panel][k][32]) so the register-blocked
-  /// GEMM streams contiguous weights for every row of the batch.
+  /// nothing while keeping one code path).  b_pad/wx_pad are the bias and
+  /// input kernel zero-padded to the padded gate stride (zstride = 4H
+  /// rounded up to the int8 panel width) so the fused z-init writes whole
+  /// padded rows; the fp32 recurrent GEMM reads wh as it is.
   struct Snapshot {
     tensor::Matrix wx;          // int8 round-trip source of wx_pad (kInt8)
-    tensor::Matrix wh;          // non-AVX2 fallback kernel (fp32 only)
+    tensor::Matrix wh;          // recurrent kernel [H, 4H] (fp32 only)
     tensor::Matrix w1, b1;      // dense(relu)
     tensor::Matrix w2, b2;      // dense(linear)
     std::vector<float> b_pad;      // [zstride]
     std::vector<float> wx_pad;     // [input_features][zstride]
-    std::vector<float> wh_panels;  // [zstride/32][H][32] (fp32 only)
     detail::QuantMat wh_q;         // quantized recurrent kernel (kInt8)
     std::size_t zstride = 0;
     bool quantized = false;

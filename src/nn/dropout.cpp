@@ -23,7 +23,7 @@ Tensor3 Dropout::forward(const Tensor3& input, bool training) {
   return out;
 }
 
-Tensor3 Dropout::backward(const Tensor3& grad_output) {
+Tensor3 Dropout::backward(const Tensor3& grad_output, bool /*input_grad*/) {
   if (!mask_valid_) return grad_output;  // eval-mode forward was identity
   EVFL_REQUIRE(grad_output.same_shape(mask_),
                "Dropout backward shape mismatch");

@@ -35,7 +35,11 @@ class Layer {
 
   /// Backward pass for the most recent forward batch.  Accumulates parameter
   /// gradients into the layer's grad buffers and returns dLoss/dInput.
-  virtual Tensor3 backward(const Tensor3& grad_output) = 0;
+  /// With `input_grad` false nobody reads dLoss/dInput (the layer is first
+  /// in its model), so a layer may skip that product and return an empty
+  /// tensor; the parameter gradients are the same bits either way.
+  virtual Tensor3 backward(const Tensor3& grad_output,
+                           bool input_grad = true) = 0;
 
   /// Trainable parameters; empty for stateless layers.
   virtual std::vector<ParamRef> params() { return {}; }

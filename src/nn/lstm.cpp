@@ -116,7 +116,7 @@ Tensor3 Lstm::forward(const Tensor3& input, bool /*training*/) {
   return out_seq;
 }
 
-Tensor3 Lstm::backward(const Tensor3& grad_output) {
+Tensor3 Lstm::backward(const Tensor3& grad_output, bool input_grad) {
   EVFL_ASSERT(!cache_.empty(), "Lstm::backward before forward");
   const std::size_t n = cached_n_, t_len = cached_t_, h = units_;
   if (return_sequences_) {
@@ -129,7 +129,7 @@ Tensor3 Lstm::backward(const Tensor3& grad_output) {
                  "Lstm backward grad shape mismatch (last step)");
   }
 
-  Tensor3 dx(n, t_len, cached_in_);
+  Tensor3 dx = input_grad ? Tensor3(n, t_len, cached_in_) : Tensor3();
   ensure_shape(bwd_dh_, n, h);        // dh_t: dZ·Whᵀ from step t+1, + grads
   ensure_shape(bwd_dc_, n, h);
   ensure_shape(bwd_dc_next_, n, h);   // dL/dc_t flowing from step t+1
@@ -193,9 +193,14 @@ Tensor3 Lstm::backward(const Tensor3& grad_output) {
     bwd_dz_.col_sums_into(bwd_col_sums_);
     gb_ += bwd_col_sums_;
 
-    bwd_dx_step_.set_zero();
-    matmul_nt_acc(bwd_dz_, wx_, bwd_dx_step_);  // dx_t = dZ · Wxᵀ
-    dx.set_timestep(ti, bwd_dx_step_);
+    if (input_grad) {
+      bwd_dx_step_.set_zero();
+      matmul_nt_acc(bwd_dz_, wx_, bwd_dx_step_);  // dx_t = dZ · Wxᵀ
+      dx.set_timestep(ti, bwd_dx_step_);
+    }
+
+    // dL/dh₋₁ and dL/dc₋₁ of the zero initial state feed nothing.
+    if (ti == 0) break;
 
     bwd_dh_.set_zero();
     matmul_nt_acc(bwd_dz_, wh_, bwd_dh_);  // dh_prev = dZ · Whᵀ

@@ -22,7 +22,8 @@ class Lstm : public Layer {
        std::size_t input_features = 0);
 
   Tensor3 forward(const Tensor3& input, bool training) override;
-  Tensor3 backward(const Tensor3& grad_output) override;
+  Tensor3 backward(const Tensor3& grad_output,
+                   bool input_grad = true) override;
   std::vector<ParamRef> params() override;
   void zero_grads() override {
     if (gwx_.empty()) return;

@@ -15,7 +15,8 @@ Tensor3 RepeatVector::forward(const Tensor3& input, bool /*training*/) {
   return out;
 }
 
-Tensor3 RepeatVector::backward(const Tensor3& grad_output) {
+Tensor3 RepeatVector::backward(const Tensor3& grad_output,
+                               bool /*input_grad*/) {
   EVFL_REQUIRE(grad_output.time() == repeats_,
                "RepeatVector backward time mismatch");
   Tensor3 dx(grad_output.batch(), 1, grad_output.features());

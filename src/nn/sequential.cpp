@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 namespace evfl::nn {
@@ -25,10 +26,10 @@ Tensor3 Sequential::forward(const Tensor3& input, bool training) {
   return x;
 }
 
-Tensor3 Sequential::backward(const Tensor3& grad_output) {
+Tensor3 Sequential::backward(const Tensor3& grad_output, bool input_grad) {
   Tensor3 g = grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+    g = (*it)->backward(g, input_grad || std::next(it) != layers_.rend());
   }
   return g;
 }

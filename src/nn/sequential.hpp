@@ -37,8 +37,10 @@ class Sequential {
   /// Convenience for inference.
   Tensor3 predict(const Tensor3& input) { return forward(input, false); }
 
-  /// Backward through all layers; returns dLoss/dInput.
-  Tensor3 backward(const Tensor3& grad_output);
+  /// Backward through all layers; returns dLoss/dInput.  Pass `input_grad`
+  /// false when the result is not read (training): the first layer may
+  /// then skip its input-gradient product and the result is empty.
+  Tensor3 backward(const Tensor3& grad_output, bool input_grad = true);
 
   std::vector<ParamRef> params();
   void zero_grads();

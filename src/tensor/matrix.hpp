@@ -196,4 +196,11 @@ void matmul_nt_acc_rows(const Matrix& a, const Matrix& b, Matrix& c,
 /// Max absolute elementwise difference; matrices must share a shape.
 float max_abs_diff(const Matrix& a, const Matrix& b);
 
+/// True when a[0..n) and b[0..n) hold the same float bit patterns.  This is
+/// the bit-identity check: max_abs_diff drops NaN mismatches (std::max
+/// ignores a NaN) and reads +0 and -0 as equal.
+bool bitwise_equal(const float* a, const float* b, std::size_t n);
+/// Same shape and bitwise_equal storage.
+bool bitwise_equal(const Matrix& a, const Matrix& b);
+
 }  // namespace evfl::tensor

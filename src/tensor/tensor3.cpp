@@ -188,6 +188,10 @@ std::string Tensor3::shape_str() const {
   return os.str();
 }
 
+bool bitwise_equal(const Tensor3& a, const Tensor3& b) {
+  return a.same_shape(b) && bitwise_equal(a.data(), b.data(), a.size());
+}
+
 float max_abs_diff(const Tensor3& a, const Tensor3& b) {
   if (!a.same_shape(b)) {
     throw ShapeError("max_abs_diff: " + a.shape_str() + " vs " + b.shape_str());

@@ -92,5 +92,7 @@ class Tensor3 {
 };
 
 float max_abs_diff(const Tensor3& a, const Tensor3& b);
+/// Same shape and the same float bit patterns (see the Matrix overload).
+bool bitwise_equal(const Tensor3& a, const Tensor3& b);
 
 }  // namespace evfl::tensor

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/pipeline.hpp"
 #include "fl/driver.hpp"
@@ -129,18 +132,15 @@ TEST(ContextMatmul, BitIdenticalToSerialKernels) {
   const Matrix a = random_matrix(61, 47, 1);
   const Matrix b = random_matrix(47, 53, 2);
 
-  EXPECT_EQ(tensor::max_abs_diff(tensor::matmul(a, b),
-                                 tensor::matmul(a, b, ctx)),
-            0.0f);
+  EXPECT_TRUE(
+      tensor::bitwise_equal(tensor::matmul(a, b), tensor::matmul(a, b, ctx)));
   // matmul_tn computes aᵀ·b: operands share their leading (k) dimension.
   const Matrix at = random_matrix(47, 61, 4);
-  EXPECT_EQ(tensor::max_abs_diff(tensor::matmul_tn(at, b),
-                                 tensor::matmul_tn(at, b, ctx)),
-            0.0f);
+  EXPECT_TRUE(tensor::bitwise_equal(tensor::matmul_tn(at, b),
+                                    tensor::matmul_tn(at, b, ctx)));
   const Matrix bt = random_matrix(53, 47, 3);
-  EXPECT_EQ(tensor::max_abs_diff(tensor::matmul_nt(a, bt),
-                                 tensor::matmul_nt(a, bt, ctx)),
-            0.0f);
+  EXPECT_TRUE(tensor::bitwise_equal(tensor::matmul_nt(a, bt),
+                                    tensor::matmul_nt(a, bt, ctx)));
 }
 
 TEST(ContextMatmul, ShapeChecked) {
@@ -290,23 +290,121 @@ TEST(BlockedMatmul, BitIdenticalToNaiveAcrossThreadCounts) {
     RunContext ctx{&pool, nullptr};
     Matrix c(93, 150);
     tensor::matmul_acc(a, b, c, ctx);
-    EXPECT_EQ(tensor::max_abs_diff(c, c_naive), 0.0f) << threads << " threads";
+    EXPECT_TRUE(tensor::bitwise_equal(c, c_naive)) << threads << " threads";
 
     c.set_zero();
     tensor::matmul_tn_acc(at, b, c, ctx);
-    EXPECT_EQ(tensor::max_abs_diff(c, c_tn_naive), 0.0f)
-        << threads << " threads";
+    EXPECT_TRUE(tensor::bitwise_equal(c, c_tn_naive)) << threads << " threads";
 
     c.set_zero();
     tensor::matmul_nt_acc(a, bt, c, ctx);
-    EXPECT_EQ(tensor::max_abs_diff(c, c_nt_naive), 0.0f)
-        << threads << " threads";
+    EXPECT_TRUE(tensor::bitwise_equal(c, c_nt_naive)) << threads << " threads";
   }
 
   // The serial Matrix overloads hit the same blocked bodies.
-  EXPECT_EQ(tensor::max_abs_diff(tensor::matmul(a, b), c_naive), 0.0f);
-  EXPECT_EQ(tensor::max_abs_diff(tensor::matmul_tn(at, b), c_tn_naive), 0.0f);
-  EXPECT_EQ(tensor::max_abs_diff(tensor::matmul_nt(a, bt), c_nt_naive), 0.0f);
+  EXPECT_TRUE(tensor::bitwise_equal(tensor::matmul(a, b), c_naive));
+  EXPECT_TRUE(tensor::bitwise_equal(tensor::matmul_tn(at, b), c_tn_naive));
+  EXPECT_TRUE(tensor::bitwise_equal(tensor::matmul_nt(a, bt), c_nt_naive));
+}
+
+TEST(BlockedMatmul, BitwiseEqualSeesNanAndSignedZero) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Matrix a = Matrix::from_rows({{1.0f, nan, 0.0f}});
+  Matrix b = a;
+  EXPECT_TRUE(tensor::bitwise_equal(a, b));
+  b(0, 2) = -0.0f;  // == 0.0f, but another bit pattern
+  EXPECT_FALSE(tensor::bitwise_equal(a, b));
+  EXPECT_EQ(tensor::max_abs_diff(a, b), 0.0f);  // the gap this closes
+  b(0, 2) = 0.0f;
+  b(0, 1) = 2.0f;  // max_abs_diff drops |nan - 2| = nan under std::max
+  EXPECT_FALSE(tensor::bitwise_equal(a, b));
+  EXPECT_FALSE(tensor::bitwise_equal(a, Matrix(3, 1)));  // shape differs
+}
+
+/// [m x k] A in which only an exact zero-skip reproduces the seed: one
+/// poison column p whose A entries are ±0 on every other 4-row group (B's
+/// row p is then Inf/NaN, and fma(0, inf, c) would be NaN), all-zero rows
+/// (a -0.0 accumulator stays -0.0 only when every product is skipped), and
+/// scattered ±0 elsewhere; the remaining groups are zero-free.
+Matrix zero_skip_a(std::size_t m, std::size_t k, std::uint64_t seed) {
+  Matrix a = random_matrix(m, k, seed);
+  const std::size_t p = k / 2;
+  for (std::size_t i = 0; i < m; ++i) {
+    if ((i / 4) % 2 == 0) a(i, p) = i % 2 == 0 ? 0.0f : -0.0f;
+    if (i % 7 == 3) {
+      for (std::size_t kk = 0; kk < k; ++kk) a(i, kk) = -0.0f;
+    }
+    if (i % 8 == 1 && k > 1) a(i, (i * 5 + 1) % k) = 0.0f;
+  }
+  return a;
+}
+
+/// [k x n] B whose row p (see zero_skip_a) cycles through Inf, NaN, -Inf.
+Matrix zero_skip_b(std::size_t k, std::size_t n, std::uint64_t seed) {
+  Matrix b = random_matrix(k, n, seed);
+  const float poison[] = {std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN(),
+                          -std::numeric_limits<float>::infinity()};
+  for (std::size_t j = 0; j < n; ++j) b(k / 2, j) = poison[j % 3];
+  return b;
+}
+
+TEST(BlockedMatmul, ExactZeroSkipAtEveryTileTail) {
+  // m covers the 4-row groups, the 2- and 1-row tails and the 64-row
+  // block; n the 32-column tile and its 8- and 1-column tails; k = 1 is
+  // the input projection of a one-feature LSTM.
+  for (const std::size_t m : {1, 2, 3, 5, 7, 32, 70, 256}) {
+    for (const std::size_t n : {1, 8, 10, 31, 32, 33, 200}) {
+      for (const std::size_t k : {1, 6, 50}) {
+        const Matrix a = zero_skip_a(m, k, 40 + m);
+        const Matrix b = zero_skip_b(k, n, 50 + n);
+        const Matrix at = a.transposed();  // [k, m]: C += atᵀ · b
+        const Matrix start(m, n, -0.0f);
+
+        Matrix want = start, got = start;
+        naive_matmul_acc(a, b, want);
+        tensor::matmul_acc(a, b, got);
+        EXPECT_TRUE(tensor::bitwise_equal(got, want))
+            << "acc m=" << m << " n=" << n << " k=" << k;
+
+        Matrix want_tn = start, got_tn = start;
+        naive_matmul_tn_acc(at, b, want_tn);
+        tensor::matmul_tn_acc(at, b, got_tn);
+        EXPECT_TRUE(tensor::bitwise_equal(got_tn, want_tn))
+            << "tn m=" << m << " n=" << n << " k=" << k;
+        // The skip is observable: acc and tn agree, and the rows of A
+        // that are all zero kept their -0.0.
+        EXPECT_TRUE(tensor::bitwise_equal(got, got_tn));
+        if (m > 3) {
+          EXPECT_TRUE(std::signbit(got(3, 0)) && got(3, 0) == 0.0f);
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockedMatmul, RowRangePartitionsMatchOneCall) {
+  // The pool hands matmul_*_rows arbitrary row ranges; a range may start
+  // mid-group, so the grouping differs, but each element's chain doesn't.
+  const std::size_t m = 70, k = 50, n = 200;
+  const Matrix a = zero_skip_a(m, k, 61);
+  const Matrix b = zero_skip_b(k, n, 62);
+  const Matrix at = a.transposed();
+  Matrix want(m, n, -0.0f), want_tn(m, n, -0.0f);
+  naive_matmul_acc(a, b, want);
+  naive_matmul_tn_acc(at, b, want_tn);
+  for (const std::vector<std::size_t>& cuts :
+       {std::vector<std::size_t>{0, 70}, {0, 1, 3, 6, 11, 33, 64, 65, 70},
+        {0, 5, 10, 15, 70}, {0, 69, 70}}) {
+    Matrix got(m, n, -0.0f), got_tn(m, n, -0.0f);
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      tensor::matmul_acc_rows(a, b, got, cuts[i], cuts[i + 1]);
+      tensor::matmul_tn_acc_rows(at, b, got_tn, cuts[i], cuts[i + 1]);
+    }
+    EXPECT_TRUE(tensor::bitwise_equal(got, want)) << cuts.size() << " cuts";
+    EXPECT_TRUE(tensor::bitwise_equal(got_tn, want_tn))
+        << cuts.size() << " cuts";
+  }
 }
 
 TEST(BlockedMatmul, StridedGateViewsMatchFullMatrixKernels) {
@@ -324,7 +422,39 @@ TEST(BlockedMatmul, StridedGateViewsMatchFullMatrixKernels) {
   }
   Matrix dense(n, 4 * h);
   naive_matmul_acc(a, w, dense);
-  EXPECT_EQ(tensor::max_abs_diff(fused, dense), 0.0f);
+  EXPECT_TRUE(tensor::bitwise_equal(fused, dense));
+}
+
+TEST(BlockedMatmul, StridedGateBlocksInBothOperands) {
+  // The LSTM's shapes through gate-block views: B a gate block of a fused
+  // [k, 4H] matrix, C a gate block of a fused [m, 4H] one.  H = 50 runs
+  // the 32-column tile, the 8-column tail twice and the 1-column tail.
+  const std::size_t m = 37, k = 32, h = 50;
+  const Matrix a = zero_skip_a(m, k, 71);      // [m, k]
+  const Matrix at = zero_skip_a(k, m, 72);     // [k, m] for tn
+  const Matrix w = zero_skip_b(k, 4 * h, 73);  // [k, 4H]
+  for (std::size_t g = 0; g < 4; ++g) {
+    const tensor::ConstMatView wg{w.data() + g * h, k, h, 4 * h};
+    Matrix wg_dense(k, h);
+    for (std::size_t r = 0; r < k; ++r) {
+      for (std::size_t c = 0; c < h; ++c) wg_dense(r, c) = w(r, g * h + c);
+    }
+    Matrix fused(m, 4 * h, -0.0f), fused_tn(m, 4 * h, -0.0f);
+    tensor::matmul_acc(a.view(), wg, fused.col_block(g * h, h));
+    tensor::matmul_tn_acc(at.view(), wg, fused_tn.col_block(g * h, h));
+    Matrix want(m, h, -0.0f), want_tn(m, h, -0.0f);
+    naive_matmul_acc(a, wg_dense, want);
+    naive_matmul_tn_acc(at, wg_dense, want_tn);
+    Matrix got(m, h), got_tn(m, h);
+    for (std::size_t r = 0; r < m; ++r) {
+      for (std::size_t c = 0; c < h; ++c) {
+        got(r, c) = fused(r, g * h + c);
+        got_tn(r, c) = fused_tn(r, g * h + c);
+      }
+    }
+    EXPECT_TRUE(tensor::bitwise_equal(got, want)) << "gate " << g;
+    EXPECT_TRUE(tensor::bitwise_equal(got_tn, want_tn)) << "gate " << g;
+  }
 }
 
 // ---- LSTM fused fast path vs the seed algorithm -----------------------------
@@ -476,51 +606,69 @@ class ReferenceLstm {
   std::vector<Step> cache_;
 };
 
-TEST(LstmBitIdentity, FusedPathMatchesSeedAlgorithmOverTrainingSteps) {
-  // batch 70 crosses the 64-row tile bound, 4h = 160 the 128-column bound.
-  const std::size_t units = 40, in = 3, n = 70, t = 5;
+/// Runs `batches.size()` training steps (forward, backward, Adam) of the
+/// fused Lstm and the seed-algorithm reference side by side, one batch
+/// size per step, and requires every output, input gradient, parameter
+/// gradient and updated weight to match bit for bit.  One input value in
+/// nine is an exact 0, as min-max scaled data holds, so the kernels'
+/// zero-skip runs on the input projection and its gradient.
+void expect_lstm_bit_identity(std::size_t units, std::size_t in,
+                              std::size_t t,
+                              const std::vector<std::size_t>& batches) {
   Rng rng_new(42), rng_ref(42);
   nn::Lstm lstm(units, /*return_sequences=*/false, rng_new, in);
   ReferenceLstm ref(units, rng_ref, in);
-
-  Rng data_rng(7);
-  Tensor3 x(n, t, in);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x.data()[i] = data_rng.uniform(0, 1);
-  }
-  Tensor3 g(n, 1, units);
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    g.data()[i] = data_rng.uniform(-1, 1);
-  }
-
   nn::Adam opt_new(1e-3f), opt_ref(1e-3f);
-  for (int step = 0; step < 3; ++step) {
+  Rng data_rng(7);
+  for (std::size_t step = 0; step < batches.size(); ++step) {
+    const std::size_t n = batches[step];
+    Tensor3 x(n, t, in);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x.data()[i] = i % 9 == 4 ? 0.0f : data_rng.uniform(0, 1);
+    }
+    Tensor3 g(n, 1, units);
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      g.data()[i] = data_rng.uniform(-1, 1);
+    }
+
     const Tensor3 out_new = lstm.forward(x, /*training=*/true);
     const Tensor3 out_ref = ref.forward(x);
-    EXPECT_EQ(tensor::max_abs_diff(out_new, out_ref), 0.0f)
+    EXPECT_TRUE(tensor::bitwise_equal(out_new, out_ref))
         << "forward diverged at step " << step;
 
     lstm.zero_grads();
     ref.zero_grads();
     const Tensor3 dx_new = lstm.backward(g);
     const Tensor3 dx_ref = ref.backward(g);
-    EXPECT_EQ(tensor::max_abs_diff(dx_new, dx_ref), 0.0f)
+    EXPECT_TRUE(tensor::bitwise_equal(dx_new, dx_ref))
         << "dx diverged at step " << step;
 
     auto p_new = lstm.params();
     auto p_ref = ref.params();
     ASSERT_EQ(p_new.size(), p_ref.size());
     for (std::size_t p = 0; p < p_new.size(); ++p) {
-      EXPECT_EQ(tensor::max_abs_diff(*p_new[p].grad, *p_ref[p].grad), 0.0f)
+      EXPECT_TRUE(tensor::bitwise_equal(*p_new[p].grad, *p_ref[p].grad))
           << p_new[p].name << " grad diverged at step " << step;
     }
     opt_new.step(p_new);
     opt_ref.step(p_ref);
     for (std::size_t p = 0; p < p_new.size(); ++p) {
-      EXPECT_EQ(tensor::max_abs_diff(*p_new[p].value, *p_ref[p].value), 0.0f)
+      EXPECT_TRUE(tensor::bitwise_equal(*p_new[p].value, *p_ref[p].value))
           << p_new[p].name << " weights diverged at step " << step;
     }
   }
+}
+
+TEST(LstmBitIdentity, FusedPathMatchesSeedAlgorithmOverTrainingSteps) {
+  // batch 70 crosses the 64-row tile bound, 4h = 160 the 128-column bound.
+  expect_lstm_bit_identity(/*units=*/40, /*in=*/3, /*t=*/5, {70, 70, 70});
+}
+
+TEST(LstmBitIdentity, MatchesSeedAlgorithmAtTheTrainedShape) {
+  // The forecaster's LSTM as fl_train_serve trains it: 50 units, one
+  // feature, 24 steps, 32-row batches and the 16-row last batch of an
+  // epoch.
+  expect_lstm_bit_identity(/*units=*/50, /*in=*/1, /*t=*/24, {32, 16, 32});
 }
 
 TEST(LstmBitIdentity, TrainingUnderParallelContextMatchesSerial) {
@@ -570,7 +718,7 @@ TEST(CloneAndPredict, ParallelInferenceBitIdentical) {
   ThreadPool pool(4);
   RunContext ctx{&pool, nullptr};
   const Tensor3 parallel = nn::predict_batched(model, x, 8, &ctx);
-  EXPECT_EQ(tensor::max_abs_diff(serial, parallel), 0.0f);
+  EXPECT_TRUE(tensor::bitwise_equal(serial, parallel));
 }
 
 TEST(CloneAndPredict, ParallelEvaluateBitIdentical) {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
+#include <vector>
 
 #include "nn/dense.hpp"
 #include "nn/lstm.hpp"
+#include "nn/optimizer.hpp"
 
 namespace evfl::nn {
 namespace {
@@ -90,6 +93,64 @@ TEST(Sequential, ZeroGradsClearsAll) {
   EXPECT_TRUE(any_nonzero);
   m.zero_grads();
   for (float v : m.get_grads()) EXPECT_EQ(v, 0.0f);
+}
+
+TEST(Sequential, SkippedInputGradientLeavesTrainingBitIdentical) {
+  // Training asks for no input gradient, so the first layer (Lstm here,
+  // Dense in the autoencoder) skips that product; every parameter gradient
+  // and every Adam-updated weight must be the same bits as with it.
+  const auto lstm_first = [](Rng& rng) { return small_model(rng); };
+  const auto dense_first = [](Rng& rng) {
+    Sequential m;
+    m.emplace<Dense>(6, Activation::kRelu, rng, 5);
+    m.emplace<Dense>(1, Activation::kLinear, rng, 6);
+    return m;
+  };
+  struct Case {
+    const char* name;
+    std::function<Sequential(Rng&)> build;
+    std::size_t time, features;
+  };
+  for (const Case& c : {Case{"lstm_first", lstm_first, 6, 1},
+                        Case{"dense_first", dense_first, 1, 5}}) {
+    Rng rng_full(9), rng_skip(9);
+    Sequential full = c.build(rng_full);
+    Sequential skip = c.build(rng_skip);
+    Adam opt_full(1e-2f), opt_skip(1e-2f);
+    Rng data(10);
+    for (int step = 0; step < 3; ++step) {
+      Tensor3 x(7, c.time, c.features), g(7, 1, 1);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        x.data()[i] = i % 5 == 2 ? 0.0f : data.uniform(0, 1);
+      }
+      for (std::size_t i = 0; i < g.size(); ++i) {
+        g.data()[i] = data.uniform(-1, 1);
+      }
+      full.forward(x, true);
+      skip.forward(x, true);
+      full.zero_grads();
+      skip.zero_grads();
+      const Tensor3 dx = full.backward(g);
+      EXPECT_EQ(dx.size(), x.size()) << c.name;
+      EXPECT_EQ(skip.backward(g, /*input_grad=*/false).size(), 0u) << c.name;
+
+      const std::vector<float> g_full = full.get_grads();
+      const std::vector<float> g_skip = skip.get_grads();
+      ASSERT_EQ(g_full.size(), g_skip.size());
+      EXPECT_TRUE(
+          tensor::bitwise_equal(g_full.data(), g_skip.data(), g_full.size()))
+          << c.name << " grads at step " << step;
+
+      std::vector<ParamRef> p_full = full.params(), p_skip = skip.params();
+      opt_full.step(p_full);
+      opt_skip.step(p_skip);
+      const std::vector<float> w_full = full.get_weights();
+      const std::vector<float> w_skip = skip.get_weights();
+      EXPECT_TRUE(
+          tensor::bitwise_equal(w_full.data(), w_skip.data(), w_full.size()))
+          << c.name << " weights at step " << step;
+    }
+  }
 }
 
 TEST(Sequential, SummaryMentionsLayersAndParams) {
